@@ -29,25 +29,15 @@ class ArithmeticProgression:
 
 @dataclass(frozen=True)
 class ApTable:
-    """All k-APs of a fixed graph, sorted lexicographically by vertex set.
-
-    by_vertex[v] lists the indices into aps of every AP containing v, so a
-    search can test exactly the progressions a new assignment can complete.
-    """
+    """All k-APs of a fixed graph, sorted lexicographically by vertex set."""
 
     k: int
     n: int
     aps: tuple[ArithmeticProgression, ...]
-    by_vertex: tuple[tuple[int, ...], ...]
 
 
 def _assemble(k: int, n: int, found: dict[tuple[int, ...], ArithmeticProgression]) -> ApTable:
-    aps = tuple(found[key] for key in sorted(found))
-    index: list[list[int]] = [[] for _ in range(n)]
-    for i, ap in enumerate(aps):
-        for v in ap.vertices:
-            index[v].append(i)
-    return ApTable(k, n, aps, tuple(tuple(row) for row in index))
+    return ApTable(k, n, tuple(found[key] for key in sorted(found)))
 
 
 def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:

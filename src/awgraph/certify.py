@@ -267,7 +267,14 @@ def _consistency_notes(k: int, n: int, claimed: int, per_r) -> list[str]:
         return problems
     false_rs = [r for r, flag in per_r if not flag]
     if false_rs:
-        if claimed != false_rs[0]:
+        if rs[-1] != false_rs[0]:
+            # Merging two color classes of a rainbow-free exact r-coloring
+            # gives one with r - 1 colors, so no r past a failure succeeds
+            # and the search stops at the first failure.
+            problems.append(
+                f"per-r attestations continue past the first failing r={false_rs[0]}"
+            )
+        elif claimed != false_rs[0]:
             problems.append(
                 f"claimed aw={claimed} but the least attested-failing r is {false_rs[0]}"
             )

@@ -15,6 +15,7 @@ variable overrides the default node budget; --budget overrides both.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -175,7 +176,7 @@ def _print_graph_line(spec: str, g: Graph) -> None:
 
 def cmd_aw(args) -> int:
     g, coords = parse_graph_spec(args.graph)
-    result = compute_aw(g, args.k, budget=_budget_from(args), threads=args.threads)
+    result = compute_aw(g, args.k, budget=_budget_from(args))
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
     print(f"aw = {result.aw}")
@@ -226,7 +227,7 @@ def cmd_extremal(args) -> int:
     g, _ = parse_graph_spec(args.graph)
     table = enumerate_k_aps(all_pairs_distances(g), args.k)
     colorings = enumerate_rainbow_free_colorings(
-        table, g.n, args.r, budget=_budget_from(args), threads=args.threads
+        table, g.n, args.r, budget=_budget_from(args)
     )
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
@@ -234,18 +235,13 @@ def cmd_extremal(args) -> int:
     for c in colorings:
         print(f"coloring: {_coloring_line(c.colors)}")
     count = len(colorings)
-    factorial = 1
-    for i in range(2, args.r + 1):
-        factorial *= i
     print(f"count = {count}")
-    print(f"labeled-count = {count} x {args.r}! = {count * factorial}")
+    print(f"labeled-count = {count} x {args.r}! = {count * math.factorial(args.r)}")
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    rows = grid_formula_table(
-        args.max_cells, budget=_budget_from(args), threads=args.threads
-    )
+    rows = grid_formula_table(args.max_cells, budget=_budget_from(args))
     all_match = True
     for row in rows:
         match = "yes" if row.match else "no"
@@ -281,9 +277,7 @@ def cmd_construct(args) -> int:
 def cmd_product_bound(args) -> int:
     left, _ = parse_graph_spec(args.left)
     right, _ = parse_graph_spec(args.right)
-    report = verify_product_bound(
-        left, right, budget=_budget_from(args), threads=args.threads
-    )
+    report = verify_product_bound(left, right, budget=_budget_from(args))
     print(f"product: {args.left} x {args.right} n={report.n}")
     print(f"aw = {report.aw}")
     if report.aw == 4 and report.witness is not None:
@@ -297,9 +291,8 @@ def cmd_product_bound(args) -> int:
 # ======================================================================
 
 
-def _add_budget_and_threads(sub) -> None:
-    sub.add_argument("--budget", type=int, default=None, help="node-expansion budget")
-    sub.add_argument("--threads", type=int, default=1, help="search worker count (default 1)")
+def _add_budget(sub) -> None:
+    sub.add_argument("--budget", type=int, default=None, help="node budget per coloring search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph spec")
     p.add_argument("--k", type=int, required=True, help="progression length")
     p.add_argument("--cert", default=None, help="write a certificate to this path")
-    _add_budget_and_threads(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_aw)
 
     p = subs.add_parser("verify", help="check a coloring file for rainbow k-APs")
@@ -327,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph spec")
     p.add_argument("--r", type=int, required=True, help="number of colors")
     p.add_argument("--k", type=int, required=True, help="progression length")
-    _add_budget_and_threads(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_extremal)
 
     p = subs.add_parser("table", help="closed form versus search for all small grids")
     p.add_argument("--max-cells", type=int, required=True, help="largest grid size m*n")
-    _add_budget_and_threads(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("construct", help="write a named extremal grid coloring")
@@ -349,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--left", required=True, help="left factor graph spec")
     p.add_argument("--right", required=True, help="right factor graph spec")
-    _add_budget_and_threads(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_product_bound)
 
     return parser

@@ -133,7 +133,6 @@ def grid_formula_table(
     max_cells: int,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> list[GridTableRow]:
     """Every grid with 2 <= m <= n and m*n <= max_cells, formula versus search."""
     if max_cells < 4:
@@ -144,7 +143,7 @@ def grid_formula_table(
             break
         for n in range(m, max_cells // m + 1):
             g = cartesian_product(build_path(m), build_path(n))
-            res = compute_aw(g, 3, budget=budget, threads=threads)
+            res = compute_aw(g, 3, budget=budget)
             rows.append(GridTableRow(m, n, closed_form_aw_grid(m, n), res.aw))
     return rows
 
@@ -176,7 +175,6 @@ def verify_product_bound(
     h: Graph,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> ProductBoundReport:
     """Compute aw(G box H, 3) by search and report whether it is at most 4.
 
@@ -188,7 +186,7 @@ def verify_product_bound(
             f"product bound needs both factors on >= 2 vertices, got {g.n} and {h.n}"
         )
     product = cartesian_product(g, h)
-    result = compute_aw(product, 3, budget=budget, threads=threads)
+    result = compute_aw(product, 3, budget=budget)
     return ProductBoundReport(left_n=g.n, right_n=h.n, n=product.n, result=result)
 
 

@@ -15,7 +15,6 @@ the remaining vertices cannot supply the colors still missing from 1..r.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 from .aps import ApTable, enumerate_k_aps
@@ -24,12 +23,6 @@ from .errors import BudgetExceededError
 from .graphs import Graph, all_pairs_distances
 
 DEFAULT_NODE_BUDGET = 10**9
-
-# Parallel mode splits the tree at a shallow prefix depth; each worker gets a
-# block of consistent canonical prefixes and the merge preserves lex order,
-# so results are identical for every thread count.
-_MIN_TASKS_PER_WORKER = 4
-_MAX_PREFIX_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -50,216 +43,77 @@ class AwResult:
 
 
 # ======================================================================
-# Core backtracking engine
+# Backtracking engine
 # ======================================================================
 
 
-def _completed_groups(table: ApTable) -> list[list[tuple[int, ...]]]:
-    """For each vertex v, the other-vertex tuples of APs whose maximum is v."""
-    groups: list[list[tuple[int, ...]]] = [[] for _ in range(table.n)]
+def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> list[tuple[int, ...]]:
+    """Canonical rainbow-free exact r-colorings in lex order; only the first if first_only.
+
+    One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
+    depth v keeps vertex v's untried colors and the largest color used
+    before v.  Entering vertex v computes its allowed colors once: 1..top+1
+    (at most r), intersected with the colors of the other members of every
+    AP whose largest vertex is v and whose other members are pairwise
+    distinct, since any other color would make that AP rainbow.  Each node
+    entered counts against the budget, leaves and pruned nodes included.
+    """
+    k = table.k
+    groups: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for ap in table.aps:
-        vs = ap.vertices
-        groups[vs[-1]].append(vs[:-1])
-    return groups
-
-
-def _check_prefix(groups, colors, upto: int, k: int) -> bool:
-    """True iff no AP fully inside colors[0:upto] is rainbow."""
-    for v in range(upto):
-        cv = colors[v]
-        for others in groups[v]:
-            seen = {cv}
-            for u in others:
-                cu = colors[u]
-                if cu in seen:
-                    break
-                seen.add(cu)
-            else:
-                return False
-    return True
-
-
-def _search_k3(pairs, n: int, r: int, budget: int, first_only: bool, prefix) -> list[tuple[int, ...]]:
-    # Specialized k=3 hot path: each completed AP is a pair (a, b) and the
-    # rainbow test is three inequality checks, no set allocation.
-    colors = [0] * n
-    top = 0
-    for v, c in enumerate(prefix):
-        colors[v] = c
-        if c > top:
-            top = c
+        groups[ap.vertices[-1]].append(ap.vertices[:-1])
+    bits = [0] * n
+    untried = [0] * n
+    tops = [0] * n
     found: list[tuple[int, ...]] = []
     nodes = 0
-
-    def extend(v: int, top: int) -> bool:
-        nonlocal nodes
+    v = top = 0
+    while True:
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
                 f"search expanded more than {budget} nodes (r={r}, n={n})"
             )
+        allowed = 0
         if v == n:
             if top == r:
-                found.append(tuple(colors))
-                return not first_only
-            return True
-        if r - top > n - v:
-            return True
-        hi = top + 1 if top < r else r
-        pv = pairs[v]
-        for c in range(1, hi + 1):
-            ok = True
-            for a, b in pv:
-                ca = colors[a]
-                if ca != c:
-                    cb = colors[b]
-                    if cb != c and cb != ca:
-                        ok = False
-                        break
-            if ok:
-                colors[v] = c
-                deeper = extend(v + 1, c if c > top else top)
-                colors[v] = 0
-                if not deeper:
-                    return False
-        return True
-
-    extend(len(prefix), top)
-    return found
-
-
-def _search_any(groups, k: int, n: int, r: int, budget: int, first_only: bool, prefix) -> list[tuple[int, ...]]:
-    # Generic engine for k != 3 (k = 2 and k >= 4).
-    colors = [0] * n
-    top = 0
-    for v, c in enumerate(prefix):
-        colors[v] = c
-        if c > top:
-            top = c
-    found: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def extend(v: int, top: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"search expanded more than {budget} nodes (r={r}, n={n})"
-            )
-        if v == n:
-            if top == r:
-                found.append(tuple(colors))
-                return not first_only
-            return True
-        if r - top > n - v:
-            return True
-        hi = top + 1 if top < r else r
-        gv = groups[v]
-        for c in range(1, hi + 1):
-            ok = True
-            for others in gv:
-                seen = {c}
-                for u in others:
-                    cu = colors[u]
-                    if cu in seen:
-                        break
-                    seen.add(cu)
-                else:
-                    ok = False
-                    break
-            if ok:
-                colors[v] = c
-                deeper = extend(v + 1, c if c > top else top)
-                colors[v] = 0
-                if not deeper:
-                    return False
-        return True
-
-    extend(len(prefix), top)
-    return found
-
-
-def _run_search(table: ApTable, n: int, r: int, budget: int, first_only: bool, prefix=()) -> list[tuple[int, ...]]:
-    groups = _completed_groups(table)
-    if prefix and not _check_prefix(groups, list(prefix) + [0] * (n - len(prefix)), len(prefix), table.k):
-        return []
-    if table.k == 3:
-        pairs = [tuple(g) for g in groups]
-        return _search_k3(pairs, n, r, budget, first_only, prefix)
-    return _search_any(groups, table.k, n, r, budget, first_only, prefix)
-
-
-# ======================================================================
-# Parallel splitting
-# ======================================================================
-
-
-def _canonical_prefixes(table: ApTable, n: int, r: int, depth: int) -> list[tuple[int, ...]]:
-    """All consistent canonical prefixes of the given depth, in lex order."""
-    groups = _completed_groups(table)
-    out: list[tuple[int, ...]] = []
-    colors = [0] * n
-
-    def extend(v: int, top: int) -> None:
-        if v == depth:
-            out.append(tuple(colors[:depth]))
-            return
-        if r - top > n - v:
-            return
-        hi = top + 1 if top < r else r
-        gv = groups[v]
-        for c in range(1, hi + 1):
-            ok = True
-            for others in gv:
-                seen = {c}
-                for u in others:
-                    cu = colors[u]
-                    if cu in seen:
-                        break
-                    seen.add(cu)
-                else:
-                    ok = False
-                    break
-            if ok:
-                colors[v] = c
-                extend(v + 1, c if c > top else top)
-                colors[v] = 0
-
-    extend(0, 0)
-    return out
-
-
-def _worker(args) -> list[tuple[int, ...]]:
-    table, n, r, budget, first_only, prefix = args
-    return _run_search(table, n, r, budget, first_only, prefix)
-
-
-def _search_parallel(table: ApTable, n: int, r: int, budget: int, first_only: bool, threads: int) -> list[tuple[int, ...]]:
-    depth = 1
-    prefixes = _canonical_prefixes(table, n, r, depth)
-    while depth < min(n, _MAX_PREFIX_DEPTH) and len(prefixes) < _MIN_TASKS_PER_WORKER * threads:
-        depth += 1
-        prefixes = _canonical_prefixes(table, n, r, depth)
-    if depth >= n or len(prefixes) <= 1:
-        return _run_search(table, n, r, budget, first_only)
-    tasks = [(table, n, r, budget, first_only, p) for p in prefixes]
-    found: list[tuple[int, ...]] = []
-    with multiprocessing.Pool(threads) as pool:
-        # imap preserves prefix (lex) order, so first hit and merge order are
-        # deterministic regardless of worker scheduling.
-        for chunk in pool.imap(_worker, tasks):
-            if chunk:
-                found.extend(chunk)
+                found.append(tuple(map(int.bit_length, bits)))
                 if first_only:
-                    pool.terminate()
-                    break
-    return found[:1] if first_only else found
-
-
-def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool, threads: int) -> list[tuple[int, ...]]:
-    if threads > 1:
-        return _search_parallel(table, n, r, budget, first_only, threads)
-    return _run_search(table, n, r, budget, first_only)
+                    return found
+        elif r - top <= n - v:
+            allowed = (1 << (top + 1 if top < r else r)) - 1
+            # Fewer than k - 1 colors in use cannot make an AP rainbow.
+            if top >= k - 1:
+                if k == 3:
+                    for a, b in groups[v]:
+                        ba = bits[a]
+                        bb = bits[b]
+                        if ba != bb:
+                            allowed &= ba | bb
+                else:
+                    for others in groups[v]:
+                        seen = 0
+                        for u in others:
+                            bu = bits[u]
+                            if seen & bu:
+                                break
+                            seen |= bu
+                        else:
+                            allowed &= seen
+        while not allowed:
+            if v == 0:
+                return found
+            v -= 1
+            allowed = untried[v]
+            top = tops[v]
+        low = allowed & -allowed
+        untried[v] = allowed ^ low
+        tops[v] = top
+        bits[v] = low
+        c = low.bit_length()
+        if c > top:
+            top = c
+        v += 1
 
 
 # ======================================================================
@@ -280,11 +134,13 @@ def exists_rainbow_free_coloring(
     r: int,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> Coloring | None:
-    """Lexicographically least canonical rainbow-free exact r-coloring, or None."""
+    """Lexicographically least canonical rainbow-free exact r-coloring, or None.
+
+    Raises BudgetExceededError once this call enters more than budget nodes.
+    """
     _validate_search_args(table, n, r)
-    found = _search(table, n, r, budget, True, threads)
+    found = _search(table, n, r, budget, True)
     if not found:
         return None
     return Coloring(found[0], r)
@@ -296,15 +152,15 @@ def enumerate_rainbow_free_colorings(
     r: int,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> list[Coloring]:
     """All canonical rainbow-free exact r-colorings in lexicographic order.
 
     Multiply the count by r! for the number of labeled exact r-colorings
-    avoiding rainbow k-APs (the relabeling action is free).
+    avoiding rainbow k-APs (the relabeling action is free).  Raises
+    BudgetExceededError once this call enters more than budget nodes.
     """
     _validate_search_args(table, n, r)
-    return [Coloring(c, r) for c in _search(table, n, r, budget, False, threads)]
+    return [Coloring(c, r) for c in _search(table, n, r, budget, False)]
 
 
 def compute_aw(
@@ -312,15 +168,16 @@ def compute_aw(
     k: int,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> AwResult:
     """Anti-van der Waerden number aw(g, k) by ascending exhaustive search.
 
     aw is the least r such that every exact r-coloring contains a rainbow
     k-AP, with aw = n + 1 by convention when every r <= n admits a
     rainbow-free exact r-coloring.  Color counts r = k, k+1, ... are checked
-    independently in ascending order (no monotonicity is assumed; the least
-    failing r is simply the first one met) and each verdict is recorded.
+    in ascending order and each verdict is recorded.  The scan stops at the
+    first r that fails: merging two color classes of a rainbow-free exact
+    r-coloring gives a rainbow-free exact (r-1)-coloring, so no larger r can
+    succeed.  The budget caps the nodes of each r's search separately.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
@@ -334,7 +191,7 @@ def compute_aw(
     aw = n + 1
     witness: Coloring | None = None
     for r in range(k, n + 1):
-        c = exists_rainbow_free_coloring(table, n, r, budget=budget, threads=threads)
+        c = exists_rainbow_free_coloring(table, n, r, budget=budget)
         per_r.append((r, c is not None))
         if c is None:
             aw = r
@@ -343,9 +200,7 @@ def compute_aw(
     if aw == k:
         # The scan starts at r = k, so the witness color count k - 1 was
         # never searched; any exact (k-1)-coloring is rainbow-free.
-        witness = exists_rainbow_free_coloring(
-            table, n, k - 1, budget=budget, threads=threads
-        )
+        witness = exists_rainbow_free_coloring(table, n, k - 1, budget=budget)
     if aw - 1 < 2:
         witness = None
     return AwResult(aw=aw, k=k, n=n, per_r=tuple(per_r), witness=witness)

@@ -109,14 +109,6 @@ def test_k3_middle_vertex_characterization():
             assert (trio in table) == has_middle, f"{name} {trio}"
 
 
-def test_by_vertex_index():
-    g, _ = build_grid(2, 3)
-    table = enumerate_k_aps(all_pairs_distances(g), 3)
-    for v in range(g.n):
-        member = {i for i, ap in enumerate(table.aps) if v in ap.vertices}
-        assert set(table.by_vertex[v]) == member
-
-
 def test_corner_pair_of_2x3_has_no_middle():
     # Corners (1,1) and (2,3) sit at odd distance, so no vertex is
     # equidistant from both and no 3-AP uses them as its endpoints.

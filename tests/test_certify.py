@@ -108,8 +108,15 @@ def test_shifted_claim_is_inconsistent():
 
 
 def test_gapped_attestations_are_inconsistent():
-    text = _swap(_grid23_text(), "3 true\n4 false", "3 true\n5 false")
-    assert verify_certificate(text).verdict == VERDICT_INCONSISTENT
+    for per_r in (
+        "3 true\n5 false",
+        # Existence only goes from true to false as r grows, and the search
+        # stops at the first false, so nothing may follow it.
+        "3 true\n4 false\n5 true",
+        "3 true\n4 false\n5 false",
+    ):
+        text = _swap(_grid23_text(), "3 true\n4 false", per_r)
+        assert verify_certificate(text).verdict == VERDICT_INCONSISTENT, per_r
 
 
 def test_short_attestation_range_is_inconsistent():

@@ -272,15 +272,19 @@ def test_budget_exit_codes(capsys, monkeypatch):
     assert "AWGRAPH_BUDGET" in err
 
 
-def test_repeat_and_threads_byte_identical(capsys):
+def test_deep_graph_exhausts_budget_without_traceback(capsys):
+    # The search keeps no Python frame per vertex, so a graph deeper than
+    # the interpreter's recursion limit ends in the budget error.
+    code, out, err = run(
+        capsys, ["aw", "--graph", "path:1100", "--k", "3", "--budget", "5000"]
+    )
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_repeat_byte_identical(capsys):
     argv = ["aw", "--graph", "grid:3x4", "--k", "3"]
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
-    _, threaded, _ = run(capsys, argv + ["--threads", "2"])
     assert first == second
-    assert threaded == first
-
-    argv = ["extremal", "--graph", "grid:2x7", "--k", "3", "--r", "3"]
-    _, single, _ = run(capsys, argv)
-    _, double, _ = run(capsys, argv + ["--threads", "2"])
-    assert double == single

@@ -1,5 +1,6 @@
 """Search engine tests: frozen results, brute-force oracles, determinism."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from awgraph import (
     BudgetExceededError,
     Coloring,
     all_pairs_distances,
+    build_cycle,
     build_grid,
     build_path,
     build_star,
@@ -172,19 +174,19 @@ def test_witness_is_lex_least_and_rainbow_free():
 def test_canonical_count_times_factorial():
     # Canonical enumeration x r! recovers the labeled count, and filtering
     # the labeled colorings down to canonical ones recovers the enumeration.
-    factorial = {2: 2, 3: 6}
+    # k = 3 has its own inner loop in the engine; k = 2, 4 and 5 share the
+    # generic one.
     for name, g in small_corpus():
-        if g.n > 8:
-            continue
-        table = _table(g)
-        for r in (2, 3):
-            if r > g.n:
-                continue
-            canonical = enumerate_rainbow_free_colorings(table, g.n, r)
-            labeled = labeled_rainbow_free(g, 3, r)
-            assert len(labeled) == len(canonical) * factorial[r], (name, r)
-            filtered = [cs for cs in labeled if is_canonical(Coloring(cs, r))]
-            assert filtered == [c.colors for c in canonical], (name, r)
+        for k in (2, 3, 4, 5):
+            table = _table(g, k)
+            for r in range(1, g.n + 1):
+                if r**g.n > 7000:
+                    continue
+                canonical = enumerate_rainbow_free_colorings(table, g.n, r)
+                labeled = labeled_rainbow_free(g, k, r)
+                assert len(labeled) == len(canonical) * math.factorial(r), (name, k, r)
+                filtered = [cs for cs in labeled if is_canonical(Coloring(cs, r))]
+                assert filtered == [c.colors for c in canonical], (name, k, r)
 
 
 def test_budget_exhaustion_raises():
@@ -196,20 +198,31 @@ def test_budget_exhaustion_raises():
         enumerate_rainbow_free_colorings(table, 6, 3, budget=2)
     with pytest.raises(BudgetExceededError):
         compute_aw(build_grid(3, 4)[0], 3, budget=20)
+    # The budget caps each r's search, and grid:4x4 needs more than 20000
+    # nodes for one of them.
+    with pytest.raises(BudgetExceededError):
+        compute_aw(build_grid(4, 4)[0], 3, budget=20000)
 
 
-def test_threads_do_not_change_results():
-    g, _ = build_grid(2, 5)
-    table = _table(g)
-    assert enumerate_rainbow_free_colorings(
-        table, g.n, 3, threads=2
-    ) == enumerate_rainbow_free_colorings(table, g.n, 3)
-    assert exists_rainbow_free_coloring(
-        table, g.n, 3, threads=2
-    ) == exists_rainbow_free_coloring(table, g.n, 3)
-    assert compute_aw(build_grid(3, 4)[0], 3, threads=2) == compute_aw(
-        build_grid(3, 4)[0], 3
-    )
+# (graph, k, r, enumerate, nodes): the exact node count of one search.  A
+# node is every vertex assignment entered, leaves and pruned nodes included.
+NODE_COUNTS = [
+    (build_grid(3, 4)[0], 3, 4, False, 2056),  # nonexistence proof
+    (build_grid(3, 4)[0], 3, 3, False, 552),
+    (build_path(9), 4, 7, False, 258),  # nonexistence proof
+    (build_path(10), 4, 7, False, 1117),
+    (build_cycle(6), 2, 2, False, 7),
+    (build_grid(2, 5)[0], 3, 3, True, 1043),
+]
+
+
+def test_node_counts_are_pinned():
+    for g, k, r, enum, nodes in NODE_COUNTS:
+        table = _table(g, k)
+        search = enumerate_rainbow_free_colorings if enum else exists_rainbow_free_coloring
+        search(table, g.n, r, budget=nodes)
+        with pytest.raises(BudgetExceededError):
+            search(table, g.n, r, budget=nodes - 1)
 
 
 def test_argument_validation():

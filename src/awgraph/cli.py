@@ -15,6 +15,7 @@ variable overrides the default node budget; --budget overrides both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -153,6 +154,21 @@ def _budget_from(args) -> int:
     return value
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path via a temp file beside it, so a failed write keeps the old file."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _coloring_line(colors) -> str:
     return " ".join(str(c) for c in colors)
 
@@ -192,8 +208,7 @@ def cmd_aw(args) -> int:
     else:
         print("witness: none")
     if args.cert is not None:
-        with open(args.cert, "w", encoding="utf-8") as fh:
-            fh.write(emit_certificate(result, g))
+        _write_atomic(args.cert, emit_certificate(result, g))
         print(f"certificate: {args.cert}")
     return EXIT_OK
 
@@ -268,8 +283,7 @@ def cmd_construct(args) -> int:
         )
         return EXIT_FAIL
     print("self-check: rainbow-free")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(coloring_to_text(coloring))
+    _write_atomic(args.out, coloring_to_text(coloring))
     print(f"wrote: {args.out}")
     return EXIT_OK
 

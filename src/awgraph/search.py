@@ -7,10 +7,13 @@ r! when converted back to labeled colorings.
 
 Search order is fixed: vertices are assigned in id order and colors in
 ascending order, so the first coloring found is the lexicographically least
-canonical one and enumeration output is lex-sorted.  Two prunes keep the tree
-small: a branch dies as soon as the newest vertex completes a rainbow AP
-(only APs whose maximum vertex is the newest need checking), and as soon as
-the remaining vertices cannot supply the colors still missing from 1..r.
+canonical one and enumeration output is lex-sorted.  The search forward
+checks (Haralick & Elliott, 1980): each vertex keeps a domain of colors, and
+once k - 1 members of an AP carry pairwise distinct colors its last member
+is restricted to those colors.  A choice that empties a domain is rejected,
+and a branch is cut when too few vertices with unrestricted domains remain
+to bring in the colors still missing from 1..r.  Both cut only subtrees
+without a solution, so the results are those of the plain search.
 """
 
 from __future__ import annotations
@@ -51,23 +54,40 @@ def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> li
     """Canonical rainbow-free exact r-colorings in lex order; only the first if first_only.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
-    depth v keeps vertex v's untried colors and the largest color used
-    before v.  Entering vertex v computes its allowed colors once: 1..top+1
-    (at most r), intersected with the colors of the other members of every
-    AP whose largest vertex is v and whose other members are pairwise
-    distinct, since any other color would make that AP rainbow.  Each node
-    entered counts against the budget, leaves and pruned nodes included.
+    every vertex keeps a domain of colors it may still take, undone through a
+    trail on backtracking.  Choosing a color for vertex v reads each AP whose
+    second-largest vertex is v: when its k - 1 assigned members carry
+    pairwise distinct colors, its largest member w is restricted to those
+    colors, since any other would make the AP rainbow.  A choice that empties
+    a domain is rejected without entering the next vertex.  Entering vertex v
+    allows its domain within 1..top+1 (at most r).
+
+    A restricted domain holds only colors already in use, so only unassigned
+    vertices with an unrestricted domain can bring in the r - top colors still
+    missing; a node with fewer of them is cut.  With r < k no AP can be
+    rainbow and the domains stay unrestricted.  Each node entered counts
+    against the budget, leaves and cut nodes included.
     """
     k = table.k
-    groups: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for ap in table.aps:
-        groups[ap.vertices[-1]].append(ap.vertices[:-1])
+    full = (1 << r) - 1
+    # ahead[s]: (members below s, largest member) of each AP whose
+    # second-largest vertex is s; for k = 3 the one member below s.
+    ahead: list[list[tuple]] = [[] for _ in range(n)]
+    if r >= k:
+        for ap in table.aps:
+            vs = ap.vertices
+            ahead[vs[-2]].append((vs[0] if k == 3 else vs[:-2], vs[-1]))
+    dom = [full] * n
     bits = [0] * n
     untried = [0] * n
     tops = [0] * n
+    frees = [0] * n
+    marks = [0] * n
+    trail: list[int] = []  # flat (vertex, previous domain) pairs
     found: list[tuple[int, ...]] = []
     nodes = 0
     v = top = 0
+    free = n  # unassigned vertices whose domain is unrestricted
     while True:
         nodes += 1
         if nodes > budget:
@@ -80,39 +100,71 @@ def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> li
                 found.append(tuple(map(int.bit_length, bits)))
                 if first_only:
                     return found
-        elif r - top <= n - v:
-            allowed = (1 << (top + 1 if top < r else r)) - 1
-            # Fewer than k - 1 colors in use cannot make an AP rainbow.
-            if top >= k - 1:
-                if k == 3:
-                    for a, b in groups[v]:
-                        ba = bits[a]
-                        bb = bits[b]
-                        if ba != bb:
-                            allowed &= ba | bb
-                else:
-                    for others in groups[v]:
-                        seen = 0
-                        for u in others:
-                            bu = bits[u]
-                            if seen & bu:
-                                break
-                            seen |= bu
-                        else:
-                            allowed &= seen
-        while not allowed:
-            if v == 0:
-                return found
-            v -= 1
-            allowed = untried[v]
+        elif r - top <= free:
+            d = dom[v]
+            allowed = d & ((1 << (top + 1 if top < r else r)) - 1)
+            tops[v] = top
+            frees[v] = free - 1 if d == full else free
+            marks[v] = len(trail)
+        while True:
+            while not allowed:
+                if v == 0:
+                    return found
+                v -= 1
+                allowed = untried[v]
+            mark = marks[v]
+            while len(trail) > mark:
+                d = trail.pop()
+                dom[trail.pop()] = d
+            low = allowed & -allowed
+            allowed ^= low
             top = tops[v]
-        low = allowed & -allowed
-        untried[v] = allowed ^ low
-        tops[v] = top
+            c = low.bit_length()
+            if c > top:
+                top = c
+            free = frees[v]
+            # Fewer than k - 1 colors in use cannot restrict anything.
+            if top < k - 1:
+                break
+            if k == 3:
+                for a, w in ahead[v]:
+                    ba = bits[a]
+                    if ba != low:
+                        d = dom[w]
+                        nd = d & (ba | low)
+                        if nd != d:
+                            if not nd:
+                                break
+                            if d == full:
+                                free -= 1
+                            trail.append(w)
+                            trail.append(d)
+                            dom[w] = nd
+                else:
+                    break
+            else:
+                for lower, w in ahead[v]:
+                    seen = low
+                    for u in lower:
+                        bu = bits[u]
+                        if seen & bu:
+                            break
+                        seen |= bu
+                    else:
+                        d = dom[w]
+                        nd = d & seen
+                        if nd != d:
+                            if not nd:
+                                break
+                            if d == full:
+                                free -= 1
+                            trail.append(w)
+                            trail.append(d)
+                            dom[w] = nd
+                else:
+                    break
+        untried[v] = allowed
         bits[v] = low
-        c = low.bit_length()
-        if c > top:
-            top = c
         v += 1
 
 

@@ -288,3 +288,37 @@ def test_repeat_byte_identical(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+def test_failed_writes_keep_existing_files(capsys, monkeypatch, tmp_path):
+    # --cert and --out write through a temp file in the target directory,
+    # so a failure before or during the rename leaves the old file as it was.
+    cert = tmp_path / "out.cert"
+    coloring = tmp_path / "corner.coloring"
+    cert.write_bytes(b"old certificate\n")
+    coloring.write_bytes(b"old coloring\n")
+    aw_argv = ["aw", "--graph", "grid:2x3", "--k", "3", "--cert", str(cert)]
+    construct_argv = [
+        "construct", "--name", "corner", "--m", "2", "--n", "3",
+        "--out", str(coloring),
+    ]
+
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    for target, argv in (
+        ("awgraph.cli.emit_certificate", aw_argv),
+        ("awgraph.cli.coloring_to_text", construct_argv),
+        ("os.replace", aw_argv),
+        ("os.replace", construct_argv),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(target, boom)
+            code, _, err = run(capsys, argv)
+        assert code == EXIT_USAGE, (target, argv[0])
+        assert "disk full" in err
+        assert cert.read_bytes() == b"old certificate\n"
+        assert coloring.read_bytes() == b"old coloring\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corner.coloring", "out.cert",
+        ]

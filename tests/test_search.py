@@ -198,21 +198,34 @@ def test_budget_exhaustion_raises():
         enumerate_rainbow_free_colorings(table, 6, 3, budget=2)
     with pytest.raises(BudgetExceededError):
         compute_aw(build_grid(3, 4)[0], 3, budget=20)
-    # The budget caps each r's search, and grid:4x4 needs more than 20000
-    # nodes for one of them.
+    # The budget caps each r's search separately: grid:4x4 needs 42 nodes
+    # for r = 3 and 80 for r = 4, so 80 suffices although the two add up to
+    # more, and 79 does not.
+    grid44 = build_grid(4, 4)[0]
+    assert compute_aw(grid44, 3, budget=80).aw == 4
     with pytest.raises(BudgetExceededError):
-        compute_aw(build_grid(4, 4)[0], 3, budget=20000)
+        compute_aw(grid44, 3, budget=79)
+
+
+def test_node_ceilings():
+    # A gate on search effort that does not depend on the machine: the r = 4
+    # proofs take 170 and 510 nodes, while the plain engine in
+    # plain_engine.py needs 18.9M nodes on grid:5x5.
+    assert compute_aw(build_grid(5, 5)[0], 3, budget=1000).aw == 4
+    assert compute_aw(build_grid(6, 6)[0], 3, budget=2000).aw == 4
 
 
 # (graph, k, r, enumerate, nodes): the exact node count of one search.  A
-# node is every vertex assignment entered, leaves and pruned nodes included.
+# node is every vertex assignment entered, leaves and pruned nodes included;
+# a color rejected because it empties a domain is not a node.  The plain
+# engine in plain_engine.py needs 2056, 552, 258, 1117, 7 and 1043.
 NODE_COUNTS = [
-    (build_grid(3, 4)[0], 3, 4, False, 2056),  # nonexistence proof
-    (build_grid(3, 4)[0], 3, 3, False, 552),
-    (build_path(9), 4, 7, False, 258),  # nonexistence proof
-    (build_path(10), 4, 7, False, 1117),
-    (build_cycle(6), 2, 2, False, 7),
-    (build_grid(2, 5)[0], 3, 3, True, 1043),
+    (build_grid(3, 4)[0], 3, 4, False, 34),  # nonexistence proof
+    (build_grid(3, 4)[0], 3, 3, False, 30),
+    (build_path(9), 4, 7, False, 110),  # nonexistence proof
+    (build_path(10), 4, 7, False, 389),
+    (build_cycle(6), 2, 2, False, 2),
+    (build_grid(2, 5)[0], 3, 3, True, 59),
 ]
 
 

@@ -54,6 +54,8 @@ def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
     n = dist.n
+    if k > n:
+        return ApTable(k, n, ())  # no k distinct vertices to order
     found: dict[tuple[int, ...], ArithmeticProgression] = {}
     if k == 2:
         for u, v in combinations(range(n), 2):

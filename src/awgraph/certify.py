@@ -16,6 +16,12 @@ header line followed by its content:
     CLAIMED_AW   one integer
     WITNESS      coloring file text, or the single word "none"
     PER_R        one line "<r> true|false" per examined color count
+
+parse_certificate and verify_certificate share one section parser.  GRAPH
+is read by parse_graph and a WITNESS coloring by parse_coloring_fields, so
+both accept '#' comment lines.  Whether the witness is exact is decided by
+Coloring alone: parse_certificate rejects a non-exact witness,
+verify_certificate reports it as witness-invalid.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .aps import enumerate_k_aps, find_rainbow_ap
-from .coloring import Coloring, ColoringError, coloring_to_text
+from .coloring import Coloring, ColoringError, coloring_to_text, parse_coloring_fields
 from .errors import AwgraphError
 from .graphs import Graph, GraphError, all_pairs_distances, graph_to_text, parse_graph
 from .search import AwResult
@@ -146,48 +152,6 @@ def _single_int(lines: list[str], name: str) -> int:
         ) from None
 
 
-def _parse_witness_lines(lines: list[str]) -> tuple[tuple[int, ...], int] | None:
-    """Structural parse of a WITNESS section: colors plus declared r, or None.
-
-    Surjectivity is deliberately not enforced here; exactness is a semantic
-    check with its own verdict.
-    """
-    if len(lines) == 1 and lines[0].strip() == "none":
-        return None
-    if len(lines) != 2:
-        raise CertificateFormatError(
-            "WITNESS must be 'none' or the two-line coloring format"
-        )
-    head = lines[0].split()
-    if len(head) != 2:
-        raise CertificateFormatError(
-            f"witness header must be '<n> <r>', got {lines[0]!r}"
-        )
-    try:
-        n, r = int(head[0]), int(head[1])
-    except ValueError:
-        raise CertificateFormatError(
-            f"witness header must be two integers, got {lines[0]!r}"
-        ) from None
-    if n < 1 or r < 1:
-        raise CertificateFormatError(f"witness needs n >= 1 and r >= 1, got {lines[0]!r}")
-    parts = lines[1].split()
-    if len(parts) != n:
-        raise CertificateFormatError(
-            f"witness declares {n} vertices but lists {len(parts)} colors"
-        )
-    try:
-        values = tuple(int(p) for p in parts)
-    except ValueError:
-        raise CertificateFormatError("witness colors must be integers") from None
-    for v, c in enumerate(values):
-        if not 1 <= c <= r:
-            raise CertificateFormatError(
-                f"witness color {c} at vertex {v} outside 1..{r}"
-            )
-    return values, r
-
-
 def _parse_per_r_lines(lines: list[str]) -> tuple[tuple[int, bool], ...]:
     if len(lines) == 1 and lines[0].strip() == "none":
         return ()
@@ -208,12 +172,12 @@ def _parse_per_r_lines(lines: list[str]) -> tuple[tuple[int, bool], ...]:
     return tuple(out)
 
 
-def parse_certificate(text: str) -> Certificate:
-    """Strict parse; raises CertificateFormatError on any structural defect.
+def _parse_fields(text: str):
+    """(graph, k, claimed, witness (colors, r) or None, per_r) from certificate text.
 
-    The witness, when present, must be a well-formed exact coloring (this is
-    the constructor used for round-tripping emitted certificates; the
-    tolerant classifier is verify_certificate).
+    The witness is read structurally only; exactness is left to Coloring.
+    Raises CertificateFormatError, naming the section for graph and witness
+    defects.
     """
     sections = _split_sections(text)
     try:
@@ -224,15 +188,30 @@ def parse_certificate(text: str) -> Certificate:
     if k < 2:
         raise CertificateFormatError(f"k must be >= 2, got {k}")
     claimed = _single_int(sections["CLAIMED_AW"], "CLAIMED_AW")
-    raw = _parse_witness_lines(sections["WITNESS"])
     witness = None
-    if raw is not None:
-        values, r = raw
+    if [ln.strip() for ln in sections["WITNESS"]] != ["none"]:
         try:
-            witness = Coloring(values, r)
+            witness = parse_coloring_fields("\n".join(sections["WITNESS"]))
         except ColoringError as exc:
             raise CertificateFormatError(f"bad WITNESS section: {exc}") from None
-    return Certificate(graph, k, claimed, witness, _parse_per_r_lines(sections["PER_R"]))
+    return graph, k, claimed, witness, _parse_per_r_lines(sections["PER_R"])
+
+
+def parse_certificate(text: str) -> Certificate:
+    """Strict parse; raises CertificateFormatError on any structural defect.
+
+    The witness, when present, must be an exact coloring (this is the
+    constructor used for round-tripping emitted certificates; the tolerant
+    classifier is verify_certificate).
+    """
+    graph, k, claimed, fields, per_r = _parse_fields(text)
+    witness = None
+    if fields is not None:
+        try:
+            witness = Coloring(*fields)
+        except ColoringError as exc:
+            raise CertificateFormatError(f"bad WITNESS section: {exc}") from None
+    return Certificate(graph, k, claimed, witness, per_r)
 
 
 # ======================================================================
@@ -300,15 +279,8 @@ def verify_certificate(text: str) -> VerificationReport:
     bound and the internal consistency, not the exhaustive search itself.
     """
     try:
-        sections = _split_sections(text)
-        graph = parse_graph("\n".join(sections["GRAPH"]))
-        k = _single_int(sections["K"], "K")
-        if k < 2:
-            raise CertificateFormatError(f"k must be >= 2, got {k}")
-        claimed = _single_int(sections["CLAIMED_AW"], "CLAIMED_AW")
-        raw_witness = _parse_witness_lines(sections["WITNESS"])
-        per_r = _parse_per_r_lines(sections["PER_R"])
-    except (CertificateFormatError, GraphError) as exc:
+        graph, k, claimed, witness, per_r = _parse_fields(text)
+    except CertificateFormatError as exc:
         return VerificationReport(VERDICT_MALFORMED, (str(exc),))
 
     n = graph.n
@@ -321,7 +293,7 @@ def verify_certificate(text: str) -> VerificationReport:
             "nonexistence flags are attestations of an exhausted search, not re-proved"
         )
 
-    if raw_witness is None:
+    if witness is None:
         if claimed - 1 >= 2:
             notes.append(
                 f"witness absent: lower bound aw > {claimed - 1} attested, not checked"
@@ -330,7 +302,7 @@ def verify_certificate(text: str) -> VerificationReport:
             notes.append("witness absent: a 1-coloring certifies nothing to check")
         return VerificationReport(VERDICT_WITNESS_VALID, tuple(notes))
 
-    values, r = raw_witness
+    values, r = witness
     if len(values) != n:
         return VerificationReport(
             VERDICT_WITNESS_INVALID,
@@ -341,11 +313,11 @@ def verify_certificate(text: str) -> VerificationReport:
             VERDICT_WITNESS_INVALID,
             tuple(notes + [f"witness declares r={r}, expected claimed aw - 1 = {claimed - 1}"]),
         )
-    missing = sorted(set(range(1, r + 1)) - set(values))
-    if missing:
+    try:
+        Coloring(values, r)
+    except ColoringError as exc:
         return VerificationReport(
-            VERDICT_WITNESS_INVALID,
-            tuple(notes + [f"witness is not exact: colors {missing} unused"]),
+            VERDICT_WITNESS_INVALID, tuple(notes + [f"witness is {exc}"])
         )
     table = enumerate_k_aps(all_pairs_distances(graph), k)
     rainbow = find_rainbow_ap(table, values)

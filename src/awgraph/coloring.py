@@ -81,10 +81,11 @@ def colors_used(coloring: Coloring, vertices) -> set[int]:
     return out
 
 
-def parse_coloring(text: str) -> Coloring:
-    """Parse the coloring file format: "<n> <r>" then n colors in 1..r.
+def parse_coloring_fields(text: str) -> tuple[tuple[int, ...], int]:
+    """Structural parse of the coloring file format: the colors and r.
 
-    Surjectivity is validated on load; a non-exact coloring is rejected.
+    Reads "<n> <r>" then n colors in 1..r; lines starting with '#' and blank
+    lines are ignored.  Exactness is left to Coloring itself.
     """
     lines = [
         ln.strip()
@@ -118,6 +119,12 @@ def parse_coloring(text: str) -> Coloring:
             raise ColoringFormatError(
                 f"color {c} at vertex {v} outside 1..{r}"
             )
+    return values, r
+
+
+def parse_coloring(text: str) -> Coloring:
+    """Parse coloring file text into an exact Coloring; non-exact is rejected."""
+    values, r = parse_coloring_fields(text)
     try:
         return Coloring(values, r)
     except ColoringError as exc:

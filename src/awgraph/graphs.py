@@ -298,6 +298,8 @@ def parse_graph(text: str) -> Graph:
             raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
         edges.append((u, v))
+    if m < n - 1:  # checked before Graph allocates n adjacency rows
+        raise DisconnectedGraphError(f"{m} edges cannot connect {n} vertices")
     try:
         return Graph.from_edges(n, edges)
     except DisconnectedGraphError:
@@ -365,31 +367,13 @@ def is_isometric_subgraph(g: Graph, vertices, dist: DistanceMatrix | None = None
     measured in g for every vertex pair of the subset.
     """
     vs = sorted(set(vertices))
-    if not vs:
-        raise GraphError("empty vertex subset")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise GraphError(f"subset {vs} not within 0..{g.n - 1}")
+    try:
+        local = all_pairs_distances(induced_subgraph(g, vs))
+    except DisconnectedGraphError:
+        return False
     if dist is None:
         dist = all_pairs_distances(g)
-    index = {v: i for i, v in enumerate(vs)}
-    adj: list[list[int]] = [[] for _ in vs]
-    for u in vs:
-        for v in g.adjacency[u]:
-            if v in index:
-                adj[index[u]].append(index[v])
-    size = len(vs)
-    for si, s in enumerate(vs):
-        local = [-1] * size
-        local[si] = 0
-        queue = deque([si])
-        while queue:
-            u = queue.popleft()
-            du = local[u]
-            for v in adj[u]:
-                if local[v] < 0:
-                    local[v] = du + 1
-                    queue.append(v)
-        for ti in range(size):
-            if local[ti] != dist.d(s, vs[ti]):
-                return False  # unreachable (-1) or a detour: not isometric
-    return True
+    rows = dist.dist
+    return all(
+        local.dist[i] == tuple(rows[s][t] for t in vs) for i, s in enumerate(vs)
+    )

@@ -5,16 +5,21 @@ import pytest
 import awgraph.certify
 from awgraph import (
     CertificateFormatError,
+    DisconnectedGraphError,
     VERDICT_INCONSISTENT,
     VERDICT_MALFORMED,
     VERDICT_WITNESS_INVALID,
     VERDICT_WITNESS_VALID,
+    all_pairs_distances,
+    build_complete,
     build_grid,
     build_path,
     build_star,
     compute_aw,
     emit_certificate,
+    enumerate_k_aps,
     parse_certificate,
+    parse_graph,
     verify_certificate,
 )
 
@@ -136,6 +141,9 @@ def test_malformed_inputs():
         good.replace("K\n3", "K\n1"),
         good.replace("K\n3", "K\nthree"),
         good.replace("1 1 2 3 1 1", "1 1 2 3 0 1"),
+        good.replace("WITNESS\n6 3\n", "WITNESS\n6\n"),
+        good.replace("1 1 2 3 1 1", "1 1 2 x 1 1"),
+        good.replace("\n1 1 2 3 1 1", ""),
         good.replace("3 true", "3 maybe"),
         good + "\nEXTRA\n1\n",
     ]
@@ -144,6 +152,40 @@ def test_malformed_inputs():
         assert report.verdict == VERDICT_MALFORMED, text[:60]
         with pytest.raises(CertificateFormatError):
             parse_certificate(text)
+
+
+def test_comment_lines_in_graph_and_witness():
+    # Both sections embed file formats that allow '#' comment lines.
+    good = _grid23_text()
+    text = _swap(good, "GRAPH\n", "GRAPH\n# grid 2x3\n")
+    text = _swap(text, "WITNESS\n6 3\n", "WITNESS\n# n r\n6 3\n# colors\n")
+    report = verify_certificate(text)
+    assert report.verdict == VERDICT_WITNESS_VALID, report.notes
+    assert report == verify_certificate(good)
+    assert parse_certificate(text) == parse_certificate(good)
+
+
+def test_edgeless_huge_graph_is_rejected_at_once():
+    # Fewer than n - 1 edges cannot connect n vertices; this is caught before
+    # any adjacency row is built, so 10^8 vertices cost nothing.
+    with pytest.raises(DisconnectedGraphError):
+        parse_graph("100000000 0\n")
+    text = (
+        "GRAPH\n100000000 0\n\nK\n3\n\nCLAIMED_AW\n3\n\nWITNESS\nnone\n\nPER_R\n3 false\n"
+    )
+    report = verify_certificate(text)
+    assert report.verdict == VERDICT_MALFORMED
+    assert "bad GRAPH section" in report.notes[0]
+
+
+def test_k_above_n_has_no_aps_and_verifies():
+    # With fewer than k vertices the AP table is empty at once, so the
+    # certificate compute_aw emits for aw = n + 1 verifies at once too.
+    g = build_complete(12)
+    assert enumerate_k_aps(all_pairs_distances(g), 13).aps == ()
+    report = verify_certificate(emit_certificate(compute_aw(g, 13), g))
+    assert report.verdict == VERDICT_WITNESS_VALID, report.notes
+    assert any("against all 0 13-APs" in note for note in report.notes)
 
 
 def test_absent_witness_is_attested_not_checked():

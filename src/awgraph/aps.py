@@ -9,6 +9,7 @@ with repeated vertices are excluded throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -43,13 +44,13 @@ def _assemble(k: int, n: int, found: dict[tuple[int, ...], ArithmeticProgression
 def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
     """All k-APs of the graph behind dist.
 
-    k = 2: every vertex pair (any positive distance is a common difference).
     k = 3: a set {a, b, c} qualifies iff some member is equidistant from the
     other two, so middle vertices are scanned and the others bucketed by
     distance; pairs sharing a bucket close a progression.
-    k >= 4: depth-first extension of ordered partial progressions sharing one
-    common difference.  The first ordering found in this fixed scan order is
-    kept as the stored witness.
+    Every other k: depth-first extension, on an explicit stack, of ordered
+    partial progressions x_1, x_2, ... with d = d(x_1, x_2), adding unused
+    vertices at distance d from the last one in ascending order.  The first
+    ordering found in this fixed scan order is kept as the stored witness.
     """
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
@@ -57,12 +58,8 @@ def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
     if k > n:
         return ApTable(k, n, ())  # no k distinct vertices to order
     found: dict[tuple[int, ...], ArithmeticProgression] = {}
-    if k == 2:
-        for u, v in combinations(range(n), 2):
-            found[(u, v)] = ArithmeticProgression((u, v), (u, v), dist.d(u, v))
-        return _assemble(k, n, found)
+    rows = dist.dist
     if k == 3:
-        rows = dist.dist
         for b in range(n):
             row = rows[b]
             buckets: dict[int, list[int]] = {}
@@ -77,26 +74,38 @@ def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
                         found[key] = ArithmeticProgression(key, (a, b, c), d)
         return _assemble(k, n, found)
 
-    rows = dist.dist
-
-    def extend(seq: list[int], d: int) -> None:
-        if len(seq) == k:
-            key = tuple(sorted(seq))
-            if key not in found:
-                found[key] = ArithmeticProgression(key, tuple(seq), d)
-            return
-        last = rows[seq[-1]]
-        for y in range(n):
-            if last[y] == d and y not in seq:
-                seq.append(y)
-                extend(seq, d)
-                seq.pop()
-
+    # at[x][d]: the vertices at distance d from x, ascending.
+    at: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for x, row in enumerate(rows):
+        for y, dy in enumerate(row):
+            at[x].setdefault(dy, []).append(y)
+    used = [False] * n  # membership of seq, so the check does not scan it
     for x1 in range(n):
         row = rows[x1]
         for x2 in range(n):
-            if x2 != x1:
-                extend([x1, x2], row[x2])
+            if x2 == x1:
+                continue
+            d = row[x2]
+            seq = [x1]
+            used[x1] = True
+            pending = [iter((x2,))]  # pending[i] yields candidates for seq[i + 1]
+            while pending:
+                for y in pending[-1]:
+                    if not used[y]:
+                        break
+                else:
+                    pending.pop()
+                    used[seq.pop()] = False
+                    continue
+                seq.append(y)
+                used[y] = True
+                if len(seq) < k:
+                    pending.append(iter(at[y].get(d, ())))
+                    continue
+                key = tuple(sorted(seq))
+                if key not in found:
+                    found[key] = ArithmeticProgression(key, tuple(seq), d)
+                used[seq.pop()] = False
     return _assemble(k, n, found)
 
 
@@ -109,9 +118,10 @@ def brute_force_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
     n = dist.n
-    if n**k > BRUTE_FORCE_TUPLE_LIMIT:
+    if math.perm(n, k) > BRUTE_FORCE_TUPLE_LIMIT:
         raise BudgetExceededError(
-            f"brute force over n^k = {n}^{k} tuples exceeds {BRUTE_FORCE_TUPLE_LIMIT}"
+            f"brute force over {n}!/({n}-{k})! ordered tuples exceeds"
+            f" {BRUTE_FORCE_TUPLE_LIMIT}"
         )
     rows = dist.dist
     found: dict[tuple[int, ...], ArithmeticProgression] = {}

@@ -5,8 +5,9 @@ produced: the graph, k, the per-r existence flags, and the extremal witness
 coloring.  The checker re-derives distances and the AP table from the
 embedded graph text and validates the witness on its own; it never runs a
 coloring search.  Nonexistence flags ("no rainbow-free exact r-coloring")
-are attestations of an exhausted search and are checked for arithmetic
-consistency with the claimed value, not re-proved.
+are attestations of an exhausted search and are not re-proved: PER_R must
+equal the lines the claimed aw fixes (r = k..min(aw, n), true below aw,
+false at aw).
 
 Format: five sections in fixed order, separated by blank lines, each a
 header line followed by its content:
@@ -19,9 +20,9 @@ header line followed by its content:
 
 parse_certificate and verify_certificate share one section parser.  GRAPH
 is read by parse_graph and a WITNESS coloring by parse_coloring_fields, so
-both accept '#' comment lines.  Whether the witness is exact is decided by
-Coloring alone: parse_certificate rejects a non-exact witness,
-verify_certificate reports it as witness-invalid.
+both accept '#' comment lines, as does a WITNESS of "none".  Whether the
+witness is exact is decided by Coloring alone: parse_certificate rejects a
+non-exact witness, verify_certificate reports it as witness-invalid.
 """
 
 from __future__ import annotations
@@ -189,7 +190,10 @@ def _parse_fields(text: str):
         raise CertificateFormatError(f"k must be >= 2, got {k}")
     claimed = _single_int(sections["CLAIMED_AW"], "CLAIMED_AW")
     witness = None
-    if [ln.strip() for ln in sections["WITNESS"]] != ["none"]:
+    content = [
+        ln.strip() for ln in sections["WITNESS"] if not ln.lstrip().startswith("#")
+    ]
+    if content != ["none"]:
         try:
             witness = parse_coloring_fields("\n".join(sections["WITNESS"]))
         except ColoringError as exc:
@@ -219,54 +223,29 @@ def parse_certificate(text: str) -> Certificate:
 # ======================================================================
 
 
+def _per_r_text(per_r) -> str:
+    return "[" + ", ".join(f"{r} {str(flag).lower()}" for r, flag in per_r) + "]"
+
+
 def _consistency_notes(k: int, n: int, claimed: int, per_r) -> list[str]:
-    """Arithmetic checks of the claimed value against the attested flags."""
-    problems = []
-    if not k <= claimed <= n + 1:
-        problems.append(f"claimed aw={claimed} outside the bounds k={k}..n+1={n + 1}")
-        return problems
-    if not per_r:
-        if k <= n:
-            problems.append(
-                f"no per-r attestations although r = {k}..{n} must be examined"
-            )
-        elif claimed != n + 1:
-            problems.append(
-                f"k={k} exceeds n={n}, so claimed aw must be {n + 1}, got {claimed}"
-            )
-        return problems
-    rs = [r for r, _ in per_r]
-    if rs[0] != k or rs != list(range(k, k + len(rs))):
-        problems.append(
-            f"per-r attestations must cover consecutive r starting at k={k}, got {rs}"
-        )
-        return problems
-    if rs[-1] > n:
-        problems.append(f"per-r attestation for r={rs[-1]} exceeds n={n}")
-        return problems
-    false_rs = [r for r, flag in per_r if not flag]
-    if false_rs:
-        if rs[-1] != false_rs[0]:
-            # Merging two color classes of a rainbow-free exact r-coloring
-            # gives one with r - 1 colors, so no r past a failure succeeds
-            # and the search stops at the first failure.
-            problems.append(
-                f"per-r attestations continue past the first failing r={false_rs[0]}"
-            )
-        elif claimed != false_rs[0]:
-            problems.append(
-                f"claimed aw={claimed} but the least attested-failing r is {false_rs[0]}"
-            )
-    else:
-        if rs[-1] != n:
-            problems.append(
-                f"all attested r admit colorings but the range stops at {rs[-1]} < n={n}"
-            )
-        elif claimed != n + 1:
-            problems.append(
-                f"every r = {k}..{n} attested as admitting a coloring, so aw must be {n + 1}, got {claimed}"
-            )
-    return problems
+    """Problems with the claimed value and PER_R, given k and n.
+
+    Merging two color classes of a rainbow-free exact r-coloring gives one
+    with r - 1 colors, so existence only goes from true to false as r grows.
+    compute_aw scans r = k, k + 1, ..., n and stops at the first failure, so
+    the claimed aw alone fixes the only PER_R section the search can write:
+    r = k..min(aw, n), true below aw and false at aw.
+    """
+    low = min(k, n + 1)
+    if not low <= claimed <= n + 1:
+        return [f"claimed aw={claimed} outside the bounds {low}..n+1={n + 1}"]
+    expected = tuple((r, r < claimed) for r in range(k, min(claimed, n) + 1))
+    if per_r != expected:
+        return [
+            f"PER_R {_per_r_text(per_r)} differs from {_per_r_text(expected)},"
+            f" the only section claimed aw={claimed} allows"
+        ]
+    return []
 
 
 def verify_certificate(text: str) -> VerificationReport:

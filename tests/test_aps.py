@@ -1,5 +1,7 @@
 """AP enumeration against the brute-force oracle, plus frozen small cases."""
 
+import inspect
+import sys
 from itertools import combinations
 
 import pytest
@@ -17,7 +19,6 @@ from awgraph import (
     find_rainbow_ap,
     is_rainbow,
 )
-from awgraph.aps import BRUTE_FORCE_TUPLE_LIMIT
 from prop_helpers import small_corpus
 
 
@@ -67,7 +68,7 @@ def test_k_validation():
 def test_brute_force_guard():
     dist = all_pairs_distances(build_path(30))
     with pytest.raises(BudgetExceededError):
-        brute_force_k_aps(dist, 6)  # 30^6 > 10^8
+        brute_force_k_aps(dist, 6)  # 30!/24! ordered tuples > 10^8
 
 
 def test_enumerate_matches_brute_force():
@@ -76,11 +77,23 @@ def test_enumerate_matches_brute_force():
     for name, g in small_corpus():
         dist = all_pairs_distances(g)
         for k in (3, 4, g.n + 1):
-            if g.n**k > BRUTE_FORCE_TUPLE_LIMIT:
-                continue  # the oracle refuses n = 8 at k = 9
             fast = enumerate_k_aps(dist, k)
             slow = brute_force_k_aps(dist, k)
             assert _sets(fast) == _sets(slow), f"{name} k={k}"
+
+
+def test_long_progressions_ignore_the_recursion_limit():
+    # Extension runs on an explicit stack, so a 100-AP does not need 100
+    # Python frames; the 100-APs of P_120 are its 21 runs of consecutive ids.
+    dist = all_pairs_distances(build_path(120))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        table = enumerate_k_aps(dist, 100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _sets(table) == [tuple(range(s, s + 100)) for s in range(21)]
+    assert all(ap.d == 1 and ap.witness == ap.vertices for ap in table.aps)
 
 
 def test_witness_orderings_are_valid():

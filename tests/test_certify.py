@@ -33,6 +33,7 @@ def _instances():
         (build_path(2), 2),
         (build_path(5), 4),
         (build_star(5), 3),
+        (build_path(3), 5),  # k = n + 2: aw = n + 1 with no PER_R lines
     ):
         out.append((g, k, compute_aw(g, k)))
     return out
@@ -119,6 +120,11 @@ def test_gapped_attestations_are_inconsistent():
         # stops at the first false, so nothing may follow it.
         "3 true\n4 false\n5 true",
         "3 true\n4 false\n5 false",
+        # The claim of 4 fixes the section to exactly these two lines.
+        "3 false",
+        "4 false",
+        "3 true\n4 true",
+        "none",
     ):
         text = _swap(_grid23_text(), "3 true\n4 false", per_r)
         assert verify_certificate(text).verdict == VERDICT_INCONSISTENT, per_r
@@ -159,6 +165,14 @@ def test_comment_lines_in_graph_and_witness():
     good = _grid23_text()
     text = _swap(good, "GRAPH\n", "GRAPH\n# grid 2x3\n")
     text = _swap(text, "WITNESS\n6 3\n", "WITNESS\n# n r\n6 3\n# colors\n")
+    report = verify_certificate(text)
+    assert report.verdict == VERDICT_WITNESS_VALID, report.notes
+    assert report == verify_certificate(good)
+    assert parse_certificate(text) == parse_certificate(good)
+    # Comment lines may also surround an absent witness.
+    p2 = build_path(2)
+    good = emit_certificate(compute_aw(p2, 2), p2)
+    text = _swap(good, "WITNESS\nnone", "WITNESS\n# absent\nnone")
     report = verify_certificate(text)
     assert report.verdict == VERDICT_WITNESS_VALID, report.notes
     assert report == verify_certificate(good)

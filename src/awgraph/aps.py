@@ -5,12 +5,21 @@ x_1, ..., x_k with d(x_i, x_{i+1}) = d for a single common difference d >= 1.
 Orderings are existential: a vertex set is stored once even when several
 orderings (possibly with different d) realize it.  Degenerate progressions
 with repeated vertices are excluded throughout.
+
+An ApTable holds the vertex sets only; the ArithmeticProgression objects,
+with one realizing ordering each, are built on first access to its aps.
+The ordering is fixed by one rule per k:
+
+- k = 3: the smallest member equidistant from the other two goes in the
+  middle, with the two ends ascending;
+- every other k: the lexicographically least ordering with a constant step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .errors import BudgetExceededError
@@ -30,50 +39,69 @@ class ArithmeticProgression:
 
 @dataclass(frozen=True)
 class ApTable:
-    """All k-APs of a fixed graph, sorted lexicographically by vertex set."""
-
-    k: int
-    n: int
-    aps: tuple[ArithmeticProgression, ...]
-
-
-def _assemble(k: int, n: int, found: dict[tuple[int, ...], ArithmeticProgression]) -> ApTable:
-    return ApTable(k, n, tuple(found[key] for key in sorted(found)))
-
-
-def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
     """All k-APs of the graph behind dist.
 
-    k = 3: a set {a, b, c} qualifies iff some member is equidistant from the
-    other two, so middle vertices are scanned and the others bucketed by
-    distance; pairs sharing a bucket close a progression.
-    Every other k: depth-first extension, on an explicit stack, of ordered
-    partial progressions x_1, x_2, ... with d = d(x_1, x_2), adding unused
-    vertices at distance d from the last one in ascending order.  The first
-    ordering found in this fixed scan order is kept as the stored witness.
+    sets holds each AP's vertices as a sorted tuple, the tuples in
+    lexicographic order.  aps holds the same APs, in the same order, as
+    ArithmeticProgression objects whose witness follows the module's
+    ordering rule; it is built on first access and then kept.
     """
-    if k < 2:
-        raise ValueError(f"k-APs need k >= 2, got k={k}")
-    n = dist.n
-    if k > n:
-        return ApTable(k, n, ())  # no k distinct vertices to order
-    found: dict[tuple[int, ...], ArithmeticProgression] = {}
-    rows = dist.dist
-    if k == 3:
-        for b in range(n):
-            row = rows[b]
-            buckets: dict[int, list[int]] = {}
-            for a in range(n):
-                if a != b:
-                    buckets.setdefault(row[a], []).append(a)
-            for d in sorted(buckets):
-                group = buckets[d]
-                for a, c in combinations(group, 2):
-                    key = tuple(sorted((a, b, c)))
-                    if key not in found:
-                        found[key] = ArithmeticProgression(key, (a, b, c), d)
-        return _assemble(k, n, found)
 
+    k: int
+    dist: DistanceMatrix
+    sets: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return self.dist.n
+
+    # cached_property stores into the instance __dict__ directly, so it
+    # works on a frozen dataclass.
+    @cached_property
+    def aps(self) -> tuple[ArithmeticProgression, ...]:
+        if not self.sets:
+            return ()
+        rows = self.dist.dist
+        if self.k == 3:
+            witnesses = [_middle_first(vs, rows) for vs in self.sets]
+        else:
+            # The walk finds each set's least ordering first.  One more walk
+            # of the graph costs about what enumerating did; a walk per set,
+            # over its own k x k distances, took about three times as long
+            # on grid 8x10 at k = 5.
+            first: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for seq in _orderings(rows, self.k):
+                key = tuple(sorted(seq))
+                if key not in first:
+                    first[key] = tuple(seq)
+            witnesses = [first[vs] for vs in self.sets]
+        return tuple(
+            ArithmeticProgression(vs, w, rows[w[0]][w[1]])
+            for vs, w in zip(self.sets, witnesses)
+        )
+
+
+def _middle_first(vs: tuple[int, int, int], rows) -> tuple[int, int, int]:
+    """The ordering of the 3-AP vs that puts its smallest possible middle in the middle."""
+    a, b, c = vs
+    if rows[a][b] == rows[a][c]:
+        return (b, a, c)
+    if rows[b][a] == rows[b][c]:
+        return vs
+    return (a, c, b)
+
+
+def _orderings(rows, k: int):
+    """Constant-step orderings of k distinct vertices ending above their start, in lex order.
+
+    Depth-first extension, on an explicit stack, of ordered partial
+    progressions x_1, x_2, ... with d = d(x_1, x_2), adding unused vertices
+    at distance d from the last one in ascending order.  Every AP is found
+    in both directions; the one starting above its end is dropped, and it
+    is never an AP's least ordering, since its reverse is smaller.  The
+    yielded list is reused; copy it to keep it.
+    """
+    n = len(rows)
     # at[x][d]: the vertices at distance d from x, ascending.
     at: list[dict[int, list[int]]] = [{} for _ in range(n)]
     for x, row in enumerate(rows):
@@ -102,11 +130,46 @@ def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
                 if len(seq) < k:
                     pending.append(iter(at[y].get(d, ())))
                     continue
-                key = tuple(sorted(seq))
-                if key not in found:
-                    found[key] = ArithmeticProgression(key, tuple(seq), d)
+                if x1 < y:
+                    yield seq
                 used[seq.pop()] = False
-    return _assemble(k, n, found)
+
+
+def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
+    """All k-APs of the graph behind dist.
+
+    k = 3: a set {a, b, c} qualifies iff some member is equidistant from the
+    other two, so middle vertices b are scanned and the others bucketed by
+    their distance from b; each pair a < c sharing a bucket closes a
+    progression, kept only from its smallest middle.  Every other k: each
+    ordering that _orderings finds is reduced to its sorted vertex set.
+    """
+    if k < 2:
+        raise ValueError(f"k-APs need k >= 2, got k={k}")
+    n = dist.n
+    if k > n:
+        return ApTable(k, dist, ())  # no k distinct vertices to order
+    rows = dist.dist
+    if k != 3:
+        found = {tuple(sorted(seq)) for seq in _orderings(rows, k)}
+        return ApTable(k, dist, tuple(sorted(found)))
+    sets: list[tuple[int, int, int]] = []
+    for b in range(n):
+        row = rows[b]
+        buckets: dict[int, list[int]] = {}
+        for a in range(n):
+            if a != b:
+                buckets.setdefault(row[a], []).append(a)
+        for d, group in buckets.items():
+            for a, c in combinations(group, 2):
+                if b < a:
+                    sets.append((b, a, c))
+                # With d(a, b) = d(c, b) = d, a and c are middles iff
+                # d(a, c) = d; then a < b is a smaller middle than b.
+                elif rows[a][c] != d:
+                    sets.append((a, c, b) if c < b else (a, b, c))
+    sets.sort()
+    return ApTable(k, dist, tuple(sets))
 
 
 def brute_force_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
@@ -124,14 +187,12 @@ def brute_force_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
             f" {BRUTE_FORCE_TUPLE_LIMIT}"
         )
     rows = dist.dist
-    found: dict[tuple[int, ...], ArithmeticProgression] = {}
+    found: set[tuple[int, ...]] = set()
     for tup in permutations(range(n), k):
         d = rows[tup[0]][tup[1]]
         if all(rows[tup[i]][tup[i + 1]] == d for i in range(1, k - 1)):
-            key = tuple(sorted(tup))
-            if key not in found:
-                found[key] = ArithmeticProgression(key, tup, d)
-    return _assemble(k, n, found)
+            found.add(tuple(sorted(tup)))
+    return ApTable(k, dist, tuple(sorted(found)))
 
 
 def is_rainbow(ap: ArithmeticProgression, colors) -> bool:
@@ -145,8 +206,12 @@ def is_rainbow(ap: ArithmeticProgression, colors) -> bool:
 
 
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:
-    """First rainbow AP in table order, or None when the coloring is rainbow-free."""
-    for ap in table.aps:
-        if is_rainbow(ap, colors):
-            return ap
+    """First rainbow AP in table order, or None when the coloring is rainbow-free.
+
+    Scans the vertex sets, so table.aps is built only when an AP is found.
+    """
+    k = table.k
+    for i, vs in enumerate(table.sets):
+        if len({colors[v] for v in vs}) == k:
+            return table.aps[i]
     return None

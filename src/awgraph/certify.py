@@ -312,6 +312,6 @@ def verify_certificate(text: str) -> VerificationReport:
             ),
         )
     notes.append(
-        f"witness checked: exact {r}-coloring, rainbow-free against all {len(table.aps)} {k}-APs"
+        f"witness checked: exact {r}-coloring, rainbow-free against all {len(table.sets)} {k}-APs"
     )
     return VerificationReport(VERDICT_WITNESS_VALID, tuple(notes))

@@ -74,8 +74,7 @@ def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> li
     # second-largest vertex is s; for k = 3 the one member below s.
     ahead: list[list[tuple]] = [[] for _ in range(n)]
     if r >= k:
-        for ap in table.aps:
-            vs = ap.vertices
+        for vs in table.sets:
             ahead[vs[-2]].append((vs[0] if k == 3 else vs[:-2], vs[-1]))
     dom = [full] * n
     bits = [0] * n

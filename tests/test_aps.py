@@ -2,11 +2,13 @@
 
 import inspect
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+import awgraph.certify
 from awgraph import (
+    VERDICT_WITNESS_VALID,
     BudgetExceededError,
     Coloring,
     all_pairs_distances,
@@ -15,9 +17,14 @@ from awgraph import (
     build_grid,
     build_path,
     build_star,
+    compute_aw,
+    emit_certificate,
     enumerate_k_aps,
+    enumerate_rainbow_free_colorings,
+    exists_rainbow_free_coloring,
     find_rainbow_ap,
     is_rainbow,
+    verify_certificate,
 )
 from prop_helpers import small_corpus
 
@@ -84,16 +91,17 @@ def test_enumerate_matches_brute_force():
 
 def test_long_progressions_ignore_the_recursion_limit():
     # Extension runs on an explicit stack, so a 100-AP does not need 100
-    # Python frames; the 100-APs of P_120 are its 21 runs of consecutive ids.
+    # Python frames, neither to enumerate nor to derive its ordering; the
+    # 100-APs of P_120 are its 21 runs of consecutive ids.
     dist = all_pairs_distances(build_path(120))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
         table = enumerate_k_aps(dist, 100)
+        assert all(ap.d == 1 and ap.witness == ap.vertices for ap in table.aps)
     finally:
         sys.setrecursionlimit(limit)
     assert _sets(table) == [tuple(range(s, s + 100)) for s in range(21)]
-    assert all(ap.d == 1 and ap.witness == ap.vertices for ap in table.aps)
 
 
 def test_witness_orderings_are_valid():
@@ -109,6 +117,30 @@ def test_witness_orderings_are_valid():
                     dist.d(ap.witness[i], ap.witness[i + 1]) for i in range(k - 1)
                 }
                 assert steps == {ap.d}, f"{name} {ap}"
+
+
+def test_witness_orderings_follow_the_stated_rule():
+    # `awgraph verify` prints the ordering and d of a rainbow AP, so the rule
+    # is pinned: for k = 3 the smallest member equidistant from the other two
+    # sits between the ascending ends; for larger k the ordering is the first
+    # permutation of the vertex set with a constant step.
+    for name, g in small_corpus():
+        dist = all_pairs_distances(g)
+        for k in (3, 4, 5):
+            for ap in enumerate_k_aps(dist, k).aps:
+                vs = ap.vertices
+                if k == 3:
+                    m = min(x for x in vs if len({dist.d(x, y) for y in vs if y != x}) == 1)
+                    lo, hi = (x for x in vs if x != m)
+                    expected = (lo, m, hi)
+                else:
+                    expected = next(
+                        p
+                        for p in permutations(vs)
+                        if len({dist.d(p[i], p[i + 1]) for i in range(k - 1)}) == 1
+                    )
+                assert ap.witness == expected, f"{name} k={k} {ap}"
+                assert ap.d == dist.d(expected[0], expected[1]), f"{name} k={k} {ap}"
 
 
 def test_k3_middle_vertex_characterization():
@@ -151,3 +183,26 @@ def test_is_rainbow_and_find_rainbow_ap():
     assert hit is table.aps[0]
     assert is_rainbow(hit, rainbow)
     assert not is_rainbow(table.aps[0], (1, 1, 1, 1, 1, 1))
+
+
+def test_search_and_clean_checks_do_not_build_progressions(monkeypatch):
+    # Only a reported AP needs an ordering: the search and a check that finds
+    # no rainbow AP read the vertex sets and leave table.aps unbuilt.
+    g, _ = build_grid(2, 3)
+    table = enumerate_k_aps(all_pairs_distances(g), 3)
+    assert exists_rainbow_free_coloring(table, g.n, 3) is not None
+    assert enumerate_rainbow_free_colorings(table, g.n, 3)
+    assert find_rainbow_ap(table, (1, 1, 2, 3, 1, 1)) is None
+    assert "aps" not in vars(table)
+
+    built = []
+
+    def capture(dist, k):
+        built.append(enumerate_k_aps(dist, k))
+        return built[-1]
+
+    monkeypatch.setattr(awgraph.certify, "enumerate_k_aps", capture)
+    report = verify_certificate(emit_certificate(compute_aw(g, 3), g))
+    assert report.verdict == VERDICT_WITNESS_VALID, report.notes
+    assert len(built) == 1 and built[0].sets
+    assert "aps" not in vars(built[0])

@@ -2,7 +2,8 @@
 
 A certificate packages a claimed aw value with the evidence a search
 produced: the graph, k, the per-r existence flags, and the extremal witness
-coloring.  The checker re-derives distances and the AP table from the
+coloring.  emit_certificate renders a compute_aw result and its graph
+directly; Certificate is only what parse_certificate returns.  The checker re-derives distances and the AP table from the
 embedded graph text and validates the witness on its own; it never runs a
 coloring search.  Nonexistence flags ("no rainbow-free exact r-coloring")
 are attestations of an exhausted search and are not re-proved: PER_R must
@@ -49,7 +50,7 @@ class CertificateFormatError(AwgraphError, ValueError):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Parsed certificate contents."""
+    """Parsed certificate contents, as parse_certificate returns them."""
 
     graph: Graph
     k: int
@@ -71,41 +72,18 @@ class VerificationReport:
 # ======================================================================
 
 
-def certificate_from_result(result: AwResult, g: Graph) -> Certificate:
-    if result.n != g.n:
-        raise ValueError(
-            f"result is for {result.n} vertices but the graph has {g.n}"
-        )
-    return Certificate(
-        graph=g,
-        k=result.k,
-        claimed_aw=result.aw,
-        witness=result.witness,
-        per_r=result.per_r,
-    )
-
-
 def emit_certificate(result: AwResult, g: Graph) -> str:
-    """Render a compute_aw outcome in the five-section certificate format."""
-    cert = certificate_from_result(result, g)
+    """Render a compute_aw outcome on g in the five-section certificate format."""
+    if result.n != g.n:
+        raise ValueError(f"result is for {result.n} vertices but the graph has {g.n}")
+    witness = result.witness
+    per_r = "\n".join(f"{r} {str(flag).lower()}" for r, flag in result.per_r)
     parts = [
-        "GRAPH\n" + graph_to_text(cert.graph).rstrip("\n"),
-        f"K\n{cert.k}",
-        f"CLAIMED_AW\n{cert.claimed_aw}",
-        "WITNESS\n"
-        + (
-            coloring_to_text(cert.witness).rstrip("\n")
-            if cert.witness is not None
-            else "none"
-        ),
-        "PER_R\n"
-        + (
-            "\n".join(
-                f"{r} {'true' if flag else 'false'}" for r, flag in cert.per_r
-            )
-            if cert.per_r
-            else "none"
-        ),
+        "GRAPH\n" + graph_to_text(g).rstrip("\n"),
+        f"K\n{result.k}",
+        f"CLAIMED_AW\n{result.aw}",
+        "WITNESS\n" + (coloring_to_text(witness).rstrip("\n") if witness is not None else "none"),
+        "PER_R\n" + (per_r or "none"),
     ]
     return "\n\n".join(parts) + "\n"
 

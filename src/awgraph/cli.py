@@ -23,12 +23,7 @@ import sys
 from .aps import enumerate_k_aps, find_rainbow_ap
 from .certify import emit_certificate
 from .coloring import coloring_to_text, parse_coloring
-from .constructions import (
-    GridColoringSpec,
-    build_grid_coloring,
-    grid_formula_table,
-    verify_product_bound,
-)
+from .constructions import GRID_COLORINGS, grid_formula_table, verify_product_bound
 from .errors import AwgraphError, BudgetExceededError
 from .graphs import (
     Graph,
@@ -155,18 +150,24 @@ def _budget_from(args) -> int:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write text to path via a temp file beside it, so a failed write keeps the old file."""
+    """Write text to path via a temp file beside it, so a failed write keeps the old file.
+
+    A failure raises OSError with path and the OS reason, not the temp file's name.
+    """
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _coloring_line(colors) -> str:
@@ -242,7 +243,7 @@ def cmd_extremal(args) -> int:
     g, _ = parse_graph_spec(args.graph)
     table = enumerate_k_aps(all_pairs_distances(g), args.k)
     colorings = enumerate_rainbow_free_colorings(
-        table, g.n, args.r, budget=_budget_from(args)
+        table, args.r, budget=_budget_from(args)
     )
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
@@ -270,8 +271,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    spec = GridColoringSpec(args.name, args.m, args.n)
-    coloring = build_grid_coloring(spec)
+    coloring = GRID_COLORINGS[args.name](args.m, args.n)
     g, _ = build_grid(args.m, args.n)
     table = enumerate_k_aps(all_pairs_distances(g), 3)
     ap = find_rainbow_ap(table, coloring.colors)
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("construct", help="write a named extremal grid coloring")
-    p.add_argument("--name", required=True, choices=["corner", "two-red-corner"])
+    p.add_argument("--name", required=True, choices=list(GRID_COLORINGS))
     p.add_argument("--m", type=int, required=True, help="grid rows")
     p.add_argument("--n", type=int, required=True, help="grid columns")
     p.add_argument("--out", required=True, help="output coloring file path")

@@ -10,6 +10,8 @@ two-red-corner  red at (1, 2) and (2, 1), blue at (m, n), green elsewhere;
                 needs m, n >= 4 and m + n even.
 
 Color roles are fixed numerically: red = 1, blue = 2, green = 3.
+GRID_COLORINGS maps each name to its builder, which rejects inadmissible
+dimensions with ValueError.
 """
 
 from __future__ import annotations
@@ -25,41 +27,6 @@ RED = 1
 BLUE = 2
 GREEN = 3
 
-CONSTRUCTION_NAMES = ("corner", "two-red-corner")
-
-
-@dataclass(frozen=True)
-class GridColoringSpec:
-    """A named grid coloring request, validated against its admissibility rule."""
-
-    name: str
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.name not in CONSTRUCTION_NAMES:
-            raise ValueError(
-                f"unknown construction {self.name!r}, expected one of {CONSTRUCTION_NAMES}"
-            )
-        if self.name == "corner":
-            _check_corner_dims(self.m, self.n)
-        else:
-            _check_two_red_dims(self.m, self.n)
-
-
-def _check_corner_dims(m: int, n: int) -> None:
-    if m < 1 or n < 1 or m * n < 3:
-        raise ValueError(f"corner coloring needs m*n >= 3, got {m}x{n}")
-    if (m + n) % 2 == 0:
-        raise ValueError(f"corner coloring needs m + n odd, got {m}x{n}")
-
-
-def _check_two_red_dims(m: int, n: int) -> None:
-    if m < 4 or n < 4:
-        raise ValueError(f"two-red-corner coloring needs m, n >= 4, got {m}x{n}")
-    if (m + n) % 2 == 1:
-        raise ValueError(f"two-red-corner coloring needs m + n even, got {m}x{n}")
-
 
 def construct_corner_coloring(m: int, n: int) -> Coloring:
     """Red corner (1,1), blue corner (m,n), green interior; m + n odd.
@@ -70,7 +37,10 @@ def construct_corner_coloring(m: int, n: int) -> Coloring:
     member would need distance m + n - 2 from it, which only the opposite
     corner achieves.  So the coloring is rainbow-free whenever m + n is odd.
     """
-    _check_corner_dims(m, n)
+    if m < 1 or n < 1 or m * n < 3:
+        raise ValueError(f"corner coloring needs m*n >= 3, got {m}x{n}")
+    if (m + n) % 2 == 0:
+        raise ValueError(f"corner coloring needs m + n odd, got {m}x{n}")
     colors = [GREEN] * (m * n)
     colors[0] = RED
     colors[m * n - 1] = BLUE
@@ -85,7 +55,10 @@ def construct_two_red_coloring(m: int, n: int) -> Coloring:
     blue corner.  Rainbow-freeness is checked by the AP engine in the tests
     and by the CLI before the coloring is written out.
     """
-    _check_two_red_dims(m, n)
+    if m < 4 or n < 4:
+        raise ValueError(f"two-red-corner coloring needs m, n >= 4, got {m}x{n}")
+    if (m + n) % 2 == 1:
+        raise ValueError(f"two-red-corner coloring needs m + n even, got {m}x{n}")
     colors = [GREEN] * (m * n)
     colors[1] = RED            # (1, 2)
     colors[n] = RED            # (2, 1)
@@ -93,10 +66,11 @@ def construct_two_red_coloring(m: int, n: int) -> Coloring:
     return Coloring(tuple(colors), 3)
 
 
-def build_grid_coloring(spec: GridColoringSpec) -> Coloring:
-    if spec.name == "corner":
-        return construct_corner_coloring(spec.m, spec.n)
-    return construct_two_red_coloring(spec.m, spec.n)
+# The named constructions, in the order the CLI lists them.
+GRID_COLORINGS = {
+    "corner": construct_corner_coloring,
+    "two-red-corner": construct_two_red_coloring,
+}
 
 
 def closed_form_aw_grid(m: int, n: int) -> int:

@@ -14,6 +14,9 @@ is restricted to those colors.  A choice that empties a domain is rejected,
 and a branch is cut when too few vertices with unrestricted domains remain
 to bring in the colors still missing from 1..r.  Both cut only subtrees
 without a solution, so the results are those of the plain search.
+
+A search takes only the AP table, which fixes n and k, and r.  compute_aw
+writes a witness with fewer than k colors in closed form, without a search.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class AwResult:
 # ======================================================================
 
 
-def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> list[tuple[int, ...]]:
+def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple[int, ...]]:
     """Canonical rainbow-free exact r-colorings in lex order; only the first if first_only.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
@@ -69,6 +72,7 @@ def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> li
     against the budget, leaves and cut nodes included.
     """
     k = table.k
+    n = table.n
     full = (1 << r) - 1
     # ahead[s]: (members below s, largest member) of each AP whose
     # second-largest vertex is s; for k = 3 the one member below s.
@@ -172,16 +176,13 @@ def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> li
 # ======================================================================
 
 
-def _validate_search_args(table: ApTable, n: int, r: int) -> None:
-    if n != table.n:
-        raise ValueError(f"n={n} does not match the AP table (n={table.n})")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r} with n={n}")
+def _validate_search_args(table: ApTable, r: int) -> None:
+    if not 1 <= r <= table.n:
+        raise ValueError(f"need 1 <= r <= n, got r={r} with n={table.n}")
 
 
 def exists_rainbow_free_coloring(
     table: ApTable,
-    n: int,
     r: int,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -190,8 +191,8 @@ def exists_rainbow_free_coloring(
 
     Raises BudgetExceededError once this call enters more than budget nodes.
     """
-    _validate_search_args(table, n, r)
-    found = _search(table, n, r, budget, True)
+    _validate_search_args(table, r)
+    found = _search(table, r, budget, True)
     if not found:
         return None
     return Coloring(found[0], r)
@@ -199,7 +200,6 @@ def exists_rainbow_free_coloring(
 
 def enumerate_rainbow_free_colorings(
     table: ApTable,
-    n: int,
     r: int,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -210,8 +210,8 @@ def enumerate_rainbow_free_colorings(
     avoiding rainbow k-APs (the relabeling action is free).  Raises
     BudgetExceededError once this call enters more than budget nodes.
     """
-    _validate_search_args(table, n, r)
-    return [Coloring(c, r) for c in _search(table, n, r, budget, False)]
+    _validate_search_args(table, r)
+    return [Coloring(c, r) for c in _search(table, r, budget, False)]
 
 
 def compute_aw(
@@ -229,31 +229,28 @@ def compute_aw(
     first r that fails: merging two color classes of a rainbow-free exact
     r-coloring gives a rainbow-free exact (r-1)-coloring, so no larger r can
     succeed.  The budget caps the nodes of each r's search separately.
+
+    When aw - 1 < k no (aw-1)-coloring can be rainbow, so the witness is the
+    lex-least canonical exact one, (1,) * (n - aw + 2) + (2, ..., aw - 1),
+    built without a search and so without budget.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     n = g.n
-    if k >= n + 1:
-        # No k distinct vertices exist, so no coloring has a rainbow k-AP.
-        witness = Coloring(tuple(range(1, n + 1)), n) if n >= 2 else None
-        return AwResult(aw=n + 1, k=k, n=n, per_r=(), witness=witness)
-    table = enumerate_k_aps(all_pairs_distances(g), k)
     per_r: list[tuple[int, bool]] = []
     aw = n + 1
     witness: Coloring | None = None
-    for r in range(k, n + 1):
-        c = exists_rainbow_free_coloring(table, n, r, budget=budget)
-        per_r.append((r, c is not None))
-        if c is None:
-            aw = r
-            break
-        witness = c
-    if aw == k:
-        # The scan starts at r = k, so the witness color count k - 1 was
-        # never searched; any exact (k-1)-coloring is rainbow-free.
-        witness = exists_rainbow_free_coloring(table, n, k - 1, budget=budget)
-    if aw - 1 < 2:
-        witness = None
+    if k <= n:
+        table = enumerate_k_aps(all_pairs_distances(g), k)
+        for r in range(k, n + 1):
+            c = exists_rainbow_free_coloring(table, r, budget=budget)
+            per_r.append((r, c is not None))
+            if c is None:
+                aw = r
+                break
+            witness = c
+    if witness is None and aw > 2:
+        witness = Coloring((1,) * (n - aw + 2) + tuple(range(2, aw)), aw - 1)
     return AwResult(aw=aw, k=k, n=n, per_r=tuple(per_r), witness=witness)
 
 

@@ -14,7 +14,7 @@ from awgraph.aps import ApTable
 from awgraph.errors import BudgetExceededError
 
 
-def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> list[tuple[int, ...]]:
+def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple[int, ...]]:
     """Canonical rainbow-free exact r-colorings in lex order; only the first if first_only.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
@@ -26,6 +26,7 @@ def _search(table: ApTable, n: int, r: int, budget: int, first_only: bool) -> li
     entered counts against the budget, leaves and pruned nodes included.
     """
     k = table.k
+    n = table.n
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for ap in table.aps:
         groups[ap.vertices[-1]].append(ap.vertices[:-1])

@@ -87,7 +87,7 @@ def test_criterion_3_two_extremal_colorings():
     violations = []
     for n in (3, 5, 7):
         g, _ = build_grid(2, n)
-        found = enumerate_rainbow_free_colorings(_table(g), g.n, 3)
+        found = enumerate_rainbow_free_colorings(_table(g), 3)
         if len(found) != 2:
             violations.append(f"2x{n}: {len(found)} canonical colorings, expected 2")
     # Independent count: all 3^6 assignments of the 2x3 grid, filtered to
@@ -185,7 +185,7 @@ def test_criterion_7_structural_property_suites():
     for g in bound_instances:
         dist = all_pairs_distances(g)
         subsets = isometric_subsets(g, dist)
-        for coloring in enumerate_rainbow_free_colorings(_table(g), g.n, 3):
+        for coloring in enumerate_rainbow_free_colorings(_table(g), 3):
             for subset in subsets:
                 sub = induced_subgraph(g, subset)
                 key = (sub.n, sub.adjacency)
@@ -199,7 +199,7 @@ def test_criterion_7_structural_property_suites():
         p = cartesian_product(g, h)
         table = _table(p)
         for r in (3, 4):
-            for coloring in enumerate_rainbow_free_colorings(table, p.n, r):
+            for coloring in enumerate_rainbow_free_colorings(table, r):
                 if check_layer_color_spread(coloring, g, h):
                     violations.append(f"layer spread: {name} r={r}")
                 if check_adjacent_layer_union(coloring, g, h):
@@ -213,7 +213,7 @@ def test_criterion_7_structural_property_suites():
             g, _ = build_grid(m, n)
             table = _table(g)
             for r in range(3, g.n + 1):
-                for coloring in enumerate_rainbow_free_colorings(table, g.n, r):
+                for coloring in enumerate_rainbow_free_colorings(table, r):
                     if check_block_confinement(coloring.colors, m, n):
                         violations.append(f"blocks: {m}x{n} r={r}")
                     if check_monochromatic_lines(coloring.colors, m, n):

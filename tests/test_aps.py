@@ -190,8 +190,8 @@ def test_search_and_clean_checks_do_not_build_progressions(monkeypatch):
     # no rainbow AP read the vertex sets and leave table.aps unbuilt.
     g, _ = build_grid(2, 3)
     table = enumerate_k_aps(all_pairs_distances(g), 3)
-    assert exists_rainbow_free_coloring(table, g.n, 3) is not None
-    assert enumerate_rainbow_free_colorings(table, g.n, 3)
+    assert exists_rainbow_free_coloring(table, 3) is not None
+    assert enumerate_rainbow_free_colorings(table, 3)
     assert find_rainbow_ap(table, (1, 1, 2, 3, 1, 1)) is None
     assert "aps" not in vars(table)
 

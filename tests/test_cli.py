@@ -1,5 +1,8 @@
 """End-to-end CLI tests: golden outputs, file round trips, exit codes."""
 
+import errno
+import os
+
 from awgraph import graph_to_text, build_path, parse_coloring, verify_certificate
 from awgraph.cli import (
     EXIT_BUDGET,
@@ -322,3 +325,18 @@ def test_failed_writes_keep_existing_files(capsys, monkeypatch, tmp_path):
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "corner.coloring", "out.cert",
         ]
+
+
+def test_write_into_missing_directory_names_the_target(capsys, tmp_path):
+    # The temp file's random name must not reach stderr: the error names the
+    # target and the OS reason, and repeated runs print the same bytes.
+    target = str(tmp_path / "missing" / "x")
+    for argv in (
+        ["aw", "--graph", "grid:2x3", "--k", "3", "--cert", target],
+        ["construct", "--name", "corner", "--m", "2", "--n", "3", "--out", target],
+    ):
+        first = run(capsys, argv)
+        assert first[0] == EXIT_USAGE, argv[0]
+        assert first[2] == f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
+        assert run(capsys, argv) == first
+    assert list(tmp_path.iterdir()) == []

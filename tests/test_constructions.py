@@ -6,13 +6,12 @@ import networkx
 import pytest
 
 from awgraph import (
+    GRID_COLORINGS,
     Graph,
     GraphError,
-    GridColoringSpec,
     all_pairs_distances,
     build_grid,
     build_path,
-    build_grid_coloring,
     closed_form_aw_grid,
     compute_aw,
     connected_graphs,
@@ -73,17 +72,15 @@ def test_two_red_rainbow_free():
         assert _is_rainbow_free(m, n, construct_two_red_coloring(m, n)), (m, n)
 
 
-def test_grid_coloring_spec():
-    spec = GridColoringSpec("corner", 2, 3)
-    assert build_grid_coloring(spec) == construct_corner_coloring(2, 3)
-    spec = GridColoringSpec("two-red-corner", 4, 6)
-    assert build_grid_coloring(spec) == construct_two_red_coloring(4, 6)
+def test_grid_colorings_by_name():
+    assert list(GRID_COLORINGS) == ["corner", "two-red-corner"]
+    assert GRID_COLORINGS["corner"](2, 3) == construct_corner_coloring(2, 3)
+    assert GRID_COLORINGS["two-red-corner"](4, 6) == construct_two_red_coloring(4, 6)
+    assert "diagonal" not in GRID_COLORINGS
     with pytest.raises(ValueError):
-        GridColoringSpec("diagonal", 2, 3)
+        GRID_COLORINGS["corner"](2, 2)
     with pytest.raises(ValueError):
-        GridColoringSpec("corner", 2, 2)
-    with pytest.raises(ValueError):
-        GridColoringSpec("two-red-corner", 3, 5)
+        GRID_COLORINGS["two-red-corner"](3, 5)
 
 
 def test_closed_form_frozen_and_shape():

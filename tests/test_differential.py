@@ -41,8 +41,8 @@ def test_corpus_exists_and_enumerate_match(monkeypatch):
             table = enumerate_k_aps(dist, k)
             for r in range(1, g.n + 1):
                 got, want = _both(monkeypatch, lambda: (
-                    exists_rainbow_free_coloring(table, g.n, r),
-                    enumerate_rainbow_free_colorings(table, g.n, r),
+                    exists_rainbow_free_coloring(table, r),
+                    enumerate_rainbow_free_colorings(table, r),
                 ))
                 assert got == want, (name, k, r)
 

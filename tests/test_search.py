@@ -54,19 +54,19 @@ def _table(g, k=3):
 def test_exists_one_color_always():
     # A single color can never be rainbow for k >= 3.
     for name, g in small_corpus():
-        c = exists_rainbow_free_coloring(_table(g), g.n, 1)
+        c = exists_rainbow_free_coloring(_table(g), 1)
         assert c is not None, name
         assert c.colors == (1,) * g.n, name
 
 
 def test_exists_none_when_every_coloring_rainbow():
     g, _ = build_grid(2, 2)
-    assert exists_rainbow_free_coloring(_table(g), 4, 3) is None
+    assert exists_rainbow_free_coloring(_table(g), 3) is None
 
 
 def test_exists_returns_lex_least():
     g, _ = build_grid(2, 3)
-    c = exists_rainbow_free_coloring(_table(g), 6, 3)
+    c = exists_rainbow_free_coloring(_table(g), 3)
     assert c == Coloring((1, 1, 2, 3, 1, 1), 3)
 
 
@@ -84,14 +84,14 @@ def test_enumerate_frozen_grids():
     }
     for (m, n), colorings in expected.items():
         g, _ = build_grid(m, n)
-        found = enumerate_rainbow_free_colorings(_table(g), g.n, 3)
+        found = enumerate_rainbow_free_colorings(_table(g), 3)
         assert [c.colors for c in found] == colorings, (m, n)
         assert_lex_sorted_canonical(found)
 
 
 def test_enumerate_path2_two_colors():
     g = build_path(2)
-    found = enumerate_rainbow_free_colorings(_table(g), 2, 2)
+    found = enumerate_rainbow_free_colorings(_table(g), 2)
     assert [c.colors for c in found] == [(1, 2)]
 
 
@@ -101,7 +101,7 @@ def test_extremal_pair_swapped_by_flip():
     # renaming colors by first appearance yields the other.
     for n in (3, 5, 7):
         g, _ = build_grid(2, n)
-        a, b = enumerate_rainbow_free_colorings(_table(g), g.n, 3)
+        a, b = enumerate_rainbow_free_colorings(_table(g), 3)
         assert canonicalize(grid_flip_horizontal(a.colors, 2, n)) == b
         assert canonicalize(grid_flip_horizontal(b.colors, 2, n)) == a
 
@@ -166,9 +166,19 @@ def test_witness_is_lex_least_and_rainbow_free():
         g, _ = build_grid(m, n)
         res = compute_aw(g, 3)
         table = _table(g)
-        first = enumerate_rainbow_free_colorings(table, g.n, res.aw - 1)[0]
+        first = enumerate_rainbow_free_colorings(table, res.aw - 1)[0]
         assert res.witness == first, (m, n)
         assert res.witness.colors in labeled_rainbow_free(g, 3, res.aw - 1), (m, n)
+    # Below k the witness is written in closed form; it must be the one the
+    # search returns.
+    for name, g in small_corpus():
+        for k in range(2, g.n + 4):
+            res = compute_aw(g, k)
+            if res.aw - 1 >= 2:
+                want = exists_rainbow_free_coloring(_table(g, k), res.aw - 1)
+                assert res.witness == want, (name, k)
+            else:
+                assert res.witness is None, (name, k)
 
 
 def test_canonical_count_times_factorial():
@@ -182,7 +192,7 @@ def test_canonical_count_times_factorial():
             for r in range(1, g.n + 1):
                 if r**g.n > 7000:
                     continue
-                canonical = enumerate_rainbow_free_colorings(table, g.n, r)
+                canonical = enumerate_rainbow_free_colorings(table, r)
                 labeled = labeled_rainbow_free(g, k, r)
                 assert len(labeled) == len(canonical) * math.factorial(r), (name, k, r)
                 filtered = [cs for cs in labeled if is_canonical(Coloring(cs, r))]
@@ -193,9 +203,9 @@ def test_budget_exhaustion_raises():
     g, _ = build_grid(2, 3)
     table = _table(g)
     with pytest.raises(BudgetExceededError):
-        exists_rainbow_free_coloring(table, 6, 3, budget=2)
+        exists_rainbow_free_coloring(table, 3, budget=2)
     with pytest.raises(BudgetExceededError):
-        enumerate_rainbow_free_colorings(table, 6, 3, budget=2)
+        enumerate_rainbow_free_colorings(table, 3, budget=2)
     with pytest.raises(BudgetExceededError):
         compute_aw(build_grid(3, 4)[0], 3, budget=20)
     # The budget caps each r's search separately: grid:4x4 needs 42 nodes
@@ -233,9 +243,9 @@ def test_node_counts_are_pinned():
     for g, k, r, enum, nodes in NODE_COUNTS:
         table = _table(g, k)
         search = enumerate_rainbow_free_colorings if enum else exists_rainbow_free_coloring
-        search(table, g.n, r, budget=nodes)
+        search(table, r, budget=nodes)
         with pytest.raises(BudgetExceededError):
-            search(table, g.n, r, budget=nodes - 1)
+            search(table, r, budget=nodes - 1)
 
 
 def test_argument_validation():
@@ -243,9 +253,7 @@ def test_argument_validation():
     table = _table(g)
     for bad_r in (0, -1, 7):
         with pytest.raises(ValueError):
-            exists_rainbow_free_coloring(table, 6, bad_r)
-    with pytest.raises(ValueError):
-        enumerate_rainbow_free_colorings(table, 5, 3)
+            exists_rainbow_free_coloring(table, bad_r)
     with pytest.raises(ValueError):
         compute_aw(g, 1)
 

@@ -61,7 +61,7 @@ def test_isometric_subsets_bound_color_count():
     nonvacuous = 0
     for name, g in instances:
         dist = all_pairs_distances(g)
-        colorings = enumerate_rainbow_free_colorings(_table(g), g.n, 3)
+        colorings = enumerate_rainbow_free_colorings(_table(g), 3)
         if colorings:
             nonvacuous += 1
         subsets = isometric_subsets(g, dist)
@@ -85,7 +85,7 @@ def test_grid_block_confinement():
             g, _ = build_grid(m, n)
             table = _table(g)
             for r in range(3, g.n + 1):
-                for coloring in enumerate_rainbow_free_colorings(table, g.n, r):
+                for coloring in enumerate_rainbow_free_colorings(table, r):
                     assert check_block_confinement(coloring.colors, m, n) == []
                     checked += 1
     assert checked > 0
@@ -100,7 +100,7 @@ def test_grid_monochromatic_lines():
             g, _ = build_grid(m, n)
             table = _table(g)
             for r in range(3, g.n + 1):
-                for coloring in enumerate_rainbow_free_colorings(table, g.n, r):
+                for coloring in enumerate_rainbow_free_colorings(table, r):
                     assert check_monochromatic_lines(coloring.colors, m, n) == []
                     checked += 1
     assert checked > 0
@@ -124,7 +124,7 @@ def test_product_layer_color_spread():
         p = cartesian_product(g, h)
         table = _table(p)
         for r in (3, 4):
-            for coloring in enumerate_rainbow_free_colorings(table, p.n, r):
+            for coloring in enumerate_rainbow_free_colorings(table, r):
                 assert check_layer_color_spread(coloring, g, h) == [], name
                 checked += 1
     assert checked > 0
@@ -136,7 +136,7 @@ def test_product_adjacent_layer_union():
         p = cartesian_product(g, h)
         table = _table(p)
         for r in (3, 4):
-            for coloring in enumerate_rainbow_free_colorings(table, p.n, r):
+            for coloring in enumerate_rainbow_free_colorings(table, r):
                 assert check_adjacent_layer_union(coloring, g, h) == [], name
                 layers = [
                     colors_used(coloring, range(j, p.n, h.n)) for j in range(h.n)

@@ -22,7 +22,7 @@ import sys
 
 from .aps import enumerate_k_aps, find_rainbow_ap
 from .certify import emit_certificate
-from .coloring import coloring_to_text, parse_coloring
+from .coloring import coloring_lines, coloring_to_text, parse_coloring
 from .constructions import GRID_COLORINGS, grid_formula_table, verify_product_bound
 from .errors import AwgraphError, BudgetExceededError
 from .graphs import (
@@ -170,8 +170,8 @@ def _write_atomic(path: str, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _coloring_line(colors) -> str:
-    return " ".join(str(c) for c in colors)
+def _coloring_line(coloring) -> str:
+    return next(coloring_lines([coloring], coloring.r))
 
 
 def _coords_suffix(coords: GridCoordinates | None, vertices) -> str:
@@ -205,7 +205,7 @@ def cmd_aw(args) -> int:
         flags = "none-examined"
     print(f"per-r: {flags}")
     if result.witness is not None:
-        print(f"witness: {_coloring_line(result.witness.colors)}")
+        print(f"witness: {_coloring_line(result.witness)}")
     else:
         print("witness: none")
     if args.cert is not None:
@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
     table = enumerate_k_aps(all_pairs_distances(g), args.k)
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
-    print(f"coloring: r={coloring.r} {_coloring_line(coloring.colors)}")
+    print(f"coloring: r={coloring.r} {_coloring_line(coloring)}")
     ap = find_rainbow_ap(table, coloring.colors)
     if ap is None:
         print("result: rainbow-free")
@@ -248,8 +248,9 @@ def cmd_extremal(args) -> int:
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
     print(f"r = {args.r}")
-    for c in colorings:
-        print(f"coloring: {_coloring_line(c.colors)}")
+    write = sys.stdout.write
+    for line in coloring_lines(colorings, args.r):
+        write(f"coloring: {line}\n")
     count = len(colorings)
     print(f"count = {count}")
     print(f"labeled-count = {count} x {args.r}! = {count * math.factorial(args.r)}")
@@ -295,7 +296,7 @@ def cmd_product_bound(args) -> int:
     print(f"product: {args.left} x {args.right} n={report.n}")
     print(f"aw = {report.aw}")
     if report.aw == 4 and report.witness is not None:
-        print(f"witness: {_coloring_line(report.witness.colors)}")
+        print(f"witness: {_coloring_line(report.witness)}")
     print(f"bound: {'pass' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_FAIL
 

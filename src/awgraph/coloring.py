@@ -33,14 +33,17 @@ class Coloring:
             raise ColoringError(f"need r >= 1, got r={self.r}")
         if not self.colors:
             raise ColoringError("coloring of an empty vertex set")
-        used = set()
-        for v, c in enumerate(self.colors):
-            if not 1 <= c <= self.r:
-                raise ColoringError(f"color {c} at vertex {v} outside 1..{self.r}")
-            used.add(c)
-        if len(used) != self.r:
-            missing = sorted(set(range(1, self.r + 1)) - used)
-            raise ColoringError(f"not exact: colors {missing} unused")
+        # One set comparison in C accepts an exact coloring.  Anything else
+        # takes the per-vertex checks, which name the first bad vertex (a
+        # min/max range test would let a NaN color through).
+        used = set(self.colors)
+        if used != set(range(1, self.r + 1)):
+            for v, c in enumerate(self.colors):
+                if not 1 <= c <= self.r:
+                    raise ColoringError(f"color {c} at vertex {v} outside 1..{self.r}")
+            if len(used) != self.r:
+                missing = sorted(set(range(1, self.r + 1)) - used)
+                raise ColoringError(f"not exact: colors {missing} unused")
 
     @property
     def n(self) -> int:
@@ -131,10 +134,18 @@ def parse_coloring(text: str) -> Coloring:
         raise ColoringFormatError(str(exc)) from None
 
 
+def coloring_lines(colorings, r: int):
+    """Yield each coloring's colors as one line of space-separated decimals, no newline.
+
+    Every color must lie in 1..r.  Colors are looked up in one table of the
+    names of 0..r, so a color costs a list index rather than a str() call;
+    an enumeration prints many colorings of one r.
+    """
+    names = [str(c) for c in range(r + 1)]
+    for coloring in colorings:
+        yield " ".join([names[c] for c in coloring.colors])
+
+
 def coloring_to_text(coloring: Coloring) -> str:
     """Inverse of parse_coloring."""
-    return (
-        f"{coloring.n} {coloring.r}\n"
-        + " ".join(str(c) for c in coloring.colors)
-        + "\n"
-    )
+    return f"{coloring.n} {coloring.r}\n{next(coloring_lines([coloring], coloring.r))}\n"

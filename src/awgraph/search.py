@@ -82,6 +82,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
             ahead[vs[-2]].append((vs[0] if k == 3 else vs[:-2], vs[-1]))
     dom = [full] * n
     bits = [0] * n
+    cols = [0] * n  # the chosen colors as ints, copied out at each solution
     untried = [0] * n
     tops = [0] * n
     frees = [0] * n
@@ -100,7 +101,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
         allowed = 0
         if v == n:
             if top == r:
-                found.append(tuple(map(int.bit_length, bits)))
+                found.append(tuple(cols))
                 if first_only:
                     return found
         elif r - top <= free:
@@ -168,6 +169,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
                     break
         untried[v] = allowed
         bits[v] = low
+        cols[v] = c
         v += 1
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: golden outputs, file round trips, exit codes."""
 
 import errno
+import hashlib
 import os
 
 from awgraph import graph_to_text, build_path, parse_coloring, verify_certificate
@@ -66,6 +67,32 @@ def test_extremal_golden(capsys):
         "count = 2\n"
         "labeled-count = 2 x 3! = 12\n"
     )
+
+
+def test_extremal_solution_heavy_goldens(capsys):
+    # Count and sha256 of stdout for enumerations with thousands of lines,
+    # a k = 4 enumeration, and two-digit colors (up to 11 on path:12).
+    for argv, count, digest in (
+        (
+            ["extremal", "--graph", "grid:3x4", "--k", "3", "--r", "2"],
+            2047,
+            "b1aec8c4cf85d77a0045fdb2ce1a0d9e2ac5834932b7f790f74084222263a8da",
+        ),
+        (
+            ["extremal", "--graph", "star:9", "--k", "4", "--r", "4"],
+            966,
+            "c6f2fdbcd46fa570d4cf84200a760a29e3c84a7d333261ddedc26f20115cd917",
+        ),
+        (
+            ["extremal", "--graph", "path:12", "--k", "12", "--r", "11"],
+            66,
+            "18ef3ea030e07a4be190556b2cb5122863fc6e336db7a097d3a197b5880e88cf",
+        ),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+        assert f"\ncount = {count}\n" in out, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_product_bound_golden(capsys):
@@ -258,6 +285,15 @@ def test_budget_exit_codes(capsys, monkeypatch):
     assert code == EXIT_BUDGET
     assert err.startswith("error:")
 
+    # extremal prints only after the enumeration completes.
+    code, out, err = run(
+        capsys,
+        ["extremal", "--graph", "grid:3x4", "--k", "3", "--r", "2", "--budget", "10"],
+    )
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: search expanded more than 10 nodes (r=2, n=12)\n"
+
     monkeypatch.setenv("AWGRAPH_BUDGET", "5")
     code, _, _ = run(capsys, ["aw", "--graph", "grid:3x4", "--k", "3"])
     assert code == EXIT_BUDGET
@@ -287,10 +323,13 @@ def test_deep_graph_exhausts_budget_without_traceback(capsys):
 
 
 def test_repeat_byte_identical(capsys):
-    argv = ["aw", "--graph", "grid:3x4", "--k", "3"]
-    _, first, _ = run(capsys, argv)
-    _, second, _ = run(capsys, argv)
-    assert first == second
+    for argv in (
+        ["aw", "--graph", "grid:3x4", "--k", "3"],
+        ["extremal", "--graph", "grid:3x4", "--k", "3", "--r", "2"],
+    ):
+        _, first, _ = run(capsys, argv)
+        _, second, _ = run(capsys, argv)
+        assert first == second
 
 
 def test_failed_writes_keep_existing_files(capsys, monkeypatch, tmp_path):

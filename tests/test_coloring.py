@@ -16,14 +16,20 @@ from awgraph import (
 
 def test_coloring_validation():
     Coloring((1, 2, 1), 2)
-    with pytest.raises(ColoringError):
-        Coloring((1, 3), 3)  # color 2 unused
-    with pytest.raises(ColoringError):
-        Coloring((0, 1), 1)
-    with pytest.raises(ColoringError):
-        Coloring((1, 2), 1)  # color above r
-    with pytest.raises(ColoringError):
-        Coloring((), 1)
+    # Messages and their order: the first bad vertex is named, not the
+    # smallest or largest bad color.
+    for colors, r, message in (
+        ((1, 5, 0), 3, "color 5 at vertex 1 outside 1..3"),
+        ((1, 3), 3, "not exact: colors [2] unused"),
+        ((0, 1), 1, "color 0 at vertex 0 outside 1..1"),
+        ((1, 2), 1, "color 2 at vertex 1 outside 1..1"),
+        ((1, float("nan")), 2, "color nan at vertex 1 outside 1..2"),
+        ((), 0, "need r >= 1, got r=0"),
+        ((), 1, "coloring of an empty vertex set"),
+    ):
+        with pytest.raises(ColoringError) as info:
+            Coloring(colors, r)
+        assert str(info.value) == message
 
 
 def test_is_canonical():

@@ -23,7 +23,6 @@ from functools import cached_property
 from itertools import combinations, permutations
 
 from .errors import BudgetExceededError
-from .graphs import DistanceMatrix
 
 BRUTE_FORCE_TUPLE_LIMIT = 10**8
 
@@ -39,7 +38,7 @@ class ArithmeticProgression:
 
 @dataclass(frozen=True)
 class ApTable:
-    """All k-APs of the graph behind dist.
+    """All k-APs of the graph whose distance rows are dist.
 
     sets holds each AP's vertices as a sorted tuple, the tuples in
     lexicographic order.  aps holds the same APs, in the same order, as
@@ -48,12 +47,12 @@ class ApTable:
     """
 
     k: int
-    dist: DistanceMatrix
+    dist: tuple[tuple[int, ...], ...]
     sets: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
-        return self.dist.n
+        return len(self.dist)
 
     # cached_property stores into the instance __dict__ directly, so it
     # works on a frozen dataclass.
@@ -61,7 +60,7 @@ class ApTable:
     def aps(self) -> tuple[ArithmeticProgression, ...]:
         if not self.sets:
             return ()
-        rows = self.dist.dist
+        rows = self.dist
         if self.k == 3:
             witnesses = [_middle_first(vs, rows) for vs in self.sets]
         else:
@@ -135,8 +134,8 @@ def _orderings(rows, k: int):
                 used[seq.pop()] = False
 
 
-def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
-    """All k-APs of the graph behind dist.
+def enumerate_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
+    """All k-APs of the graph whose distance rows are dist.
 
     k = 3: a set {a, b, c} qualifies iff some member is equidistant from the
     other two, so middle vertices b are scanned and the others bucketed by
@@ -146,16 +145,15 @@ def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
     """
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
-    n = dist.n
+    n = len(dist)
     if k > n:
         return ApTable(k, dist, ())  # no k distinct vertices to order
-    rows = dist.dist
     if k != 3:
-        found = {tuple(sorted(seq)) for seq in _orderings(rows, k)}
+        found = {tuple(sorted(seq)) for seq in _orderings(dist, k)}
         return ApTable(k, dist, tuple(sorted(found)))
     sets: list[tuple[int, int, int]] = []
     for b in range(n):
-        row = rows[b]
+        row = dist[b]
         buckets: dict[int, list[int]] = {}
         for a in range(n):
             if a != b:
@@ -166,13 +164,13 @@ def enumerate_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
                     sets.append((b, a, c))
                 # With d(a, b) = d(c, b) = d, a and c are middles iff
                 # d(a, c) = d; then a < b is a smaller middle than b.
-                elif rows[a][c] != d:
+                elif dist[a][c] != d:
                     sets.append((a, c, b) if c < b else (a, b, c))
     sets.sort()
     return ApTable(k, dist, tuple(sets))
 
 
-def brute_force_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
+def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     """Oracle: test every ordered k-tuple of distinct vertices directly.
 
     Independent of enumerate_k_aps on purpose; refuses instances with more
@@ -180,17 +178,16 @@ def brute_force_k_aps(dist: DistanceMatrix, k: int) -> ApTable:
     """
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
-    n = dist.n
+    n = len(dist)
     if math.perm(n, k) > BRUTE_FORCE_TUPLE_LIMIT:
         raise BudgetExceededError(
             f"brute force over {n}!/({n}-{k})! ordered tuples exceeds"
             f" {BRUTE_FORCE_TUPLE_LIMIT}"
         )
-    rows = dist.dist
     found: set[tuple[int, ...]] = set()
     for tup in permutations(range(n), k):
-        d = rows[tup[0]][tup[1]]
-        if all(rows[tup[i]][tup[i + 1]] == d for i in range(1, k - 1)):
+        d = dist[tup[0]][tup[1]]
+        if all(dist[tup[i]][tup[i + 1]] == d for i in range(1, k - 1)):
             found.add(tuple(sorted(tup)))
     return ApTable(k, dist, tuple(sorted(found)))
 

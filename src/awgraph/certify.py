@@ -2,13 +2,15 @@
 
 A certificate packages a claimed aw value with the evidence a search
 produced: the graph, k, the per-r existence flags, and the extremal witness
-coloring.  emit_certificate renders a compute_aw result and its graph
-directly; Certificate is only what parse_certificate returns.  The checker re-derives distances and the AP table from the
-embedded graph text and validates the witness on its own; it never runs a
-coloring search.  Nonexistence flags ("no rainbow-free exact r-coloring")
-are attestations of an exhausted search and are not re-proved: PER_R must
-equal the lines the claimed aw fixes (r = k..min(aw, n), true below aw,
-false at aw).
+coloring.  emit_certificate(result, g) renders a compute_aw result and its
+graph, and parse_certificate(text) returns that (result, g) pair again.  The
+checker re-derives distances and the AP table from the embedded graph text
+and validates the witness on its own; it never runs a coloring search.
+Nonexistence flags ("no rainbow-free exact r-coloring") are attestations of
+an exhausted search and are not re-proved.  The claimed aw fixes PER_R and
+whether a witness is present, as compute_aw writes them: PER_R holds
+r = k..min(aw, n), true below aw and false at aw, and WITNESS is "none"
+exactly when aw <= 2 (a coloring with aw - 1 >= 2 colors is always written).
 
 Format: five sections in fixed order, separated by blank lines, each a
 header line followed by its content:
@@ -34,7 +36,7 @@ from .aps import enumerate_k_aps, find_rainbow_ap
 from .coloring import Coloring, ColoringError, coloring_to_text, parse_coloring_fields
 from .errors import AwgraphError
 from .graphs import Graph, GraphError, all_pairs_distances, graph_to_text, parse_graph
-from .search import AwResult
+from .search import AwResult, per_r_verdicts
 
 VERDICT_WITNESS_VALID = "witness-valid"
 VERDICT_WITNESS_INVALID = "witness-invalid"
@@ -46,17 +48,6 @@ _SECTIONS = ("GRAPH", "K", "CLAIMED_AW", "WITNESS", "PER_R")
 
 class CertificateFormatError(AwgraphError, ValueError):
     """Certificate text does not follow the five-section format."""
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Parsed certificate contents, as parse_certificate returns them."""
-
-    graph: Graph
-    k: int
-    claimed_aw: int
-    witness: Coloring | None
-    per_r: tuple[tuple[int, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -179,12 +170,12 @@ def _parse_fields(text: str):
     return graph, k, claimed, witness, _parse_per_r_lines(sections["PER_R"])
 
 
-def parse_certificate(text: str) -> Certificate:
-    """Strict parse; raises CertificateFormatError on any structural defect.
+def parse_certificate(text: str) -> tuple[AwResult, Graph]:
+    """(result, graph) such that emit_certificate(result, graph) wrote text.
 
-    The witness, when present, must be an exact coloring (this is the
-    constructor used for round-tripping emitted certificates; the tolerant
-    classifier is verify_certificate).
+    Strict: raises CertificateFormatError on any structural defect, and the
+    witness, when present, must be an exact coloring.  The claim is not
+    checked against the graph; that is verify_certificate's job.
     """
     graph, k, claimed, fields, per_r = _parse_fields(text)
     witness = None
@@ -193,7 +184,7 @@ def parse_certificate(text: str) -> Certificate:
             witness = Coloring(*fields)
         except ColoringError as exc:
             raise CertificateFormatError(f"bad WITNESS section: {exc}") from None
-    return Certificate(graph, k, claimed, witness, per_r)
+    return AwResult(claimed, k, graph.n, per_r, witness), graph
 
 
 # ======================================================================
@@ -205,32 +196,39 @@ def _per_r_text(per_r) -> str:
     return "[" + ", ".join(f"{r} {str(flag).lower()}" for r, flag in per_r) + "]"
 
 
-def _consistency_notes(k: int, n: int, claimed: int, per_r) -> list[str]:
-    """Problems with the claimed value and PER_R, given k and n.
+def _consistency_notes(k: int, n: int, claimed: int, per_r, has_witness: bool) -> list[str]:
+    """Problems with the claimed value, PER_R and the witness's presence, given k and n.
 
     Merging two color classes of a rainbow-free exact r-coloring gives one
     with r - 1 colors, so existence only goes from true to false as r grows.
     compute_aw scans r = k, k + 1, ..., n and stops at the first failure, so
-    the claimed aw alone fixes the only PER_R section the search can write:
-    r = k..min(aw, n), true below aw and false at aw.
+    the claimed aw alone fixes the only PER_R section the search can write
+    (per_r_verdicts).  It writes a witness exactly when aw - 1 >= 2 colors
+    make one worth checking.
     """
     low = min(k, n + 1)
     if not low <= claimed <= n + 1:
         return [f"claimed aw={claimed} outside the bounds {low}..n+1={n + 1}"]
-    expected = tuple((r, r < claimed) for r in range(k, min(claimed, n) + 1))
+    problems = []
+    expected = per_r_verdicts(k, n, claimed)
     if per_r != expected:
-        return [
+        problems.append(
             f"PER_R {_per_r_text(per_r)} differs from {_per_r_text(expected)},"
             f" the only section claimed aw={claimed} allows"
-        ]
-    return []
+        )
+    if has_witness != (claimed > 2):
+        problems.append(
+            f"WITNESS {'present' if has_witness else 'none'} with claimed aw={claimed};"
+            " a witness is written exactly when aw >= 3"
+        )
+    return problems
 
 
 def verify_certificate(text: str) -> VerificationReport:
     """Classify certificate text: witness-valid, witness-invalid, inconsistent or malformed.
 
     Rebuilds distances and the AP table from the embedded graph and checks
-    the witness (dimension, color count claimed_aw - 1, exactness,
+    the witness (dimension, color count claimed aw - 1, exactness,
     rainbow-freeness) against them.  Nonexistence attestations are only
     checked arithmetically; a "valid" verdict therefore certifies the lower
     bound and the internal consistency, not the exhaustive search itself.
@@ -242,7 +240,7 @@ def verify_certificate(text: str) -> VerificationReport:
 
     n = graph.n
     notes = [f"graph: n={n} m={graph.m}, k={k}, claimed aw={claimed}"]
-    problems = _consistency_notes(k, n, claimed, per_r)
+    problems = _consistency_notes(k, n, claimed, per_r, witness is not None)
     if problems:
         return VerificationReport(VERDICT_INCONSISTENT, tuple(notes + problems))
     if any(not flag for _, flag in per_r):
@@ -251,12 +249,7 @@ def verify_certificate(text: str) -> VerificationReport:
         )
 
     if witness is None:
-        if claimed - 1 >= 2:
-            notes.append(
-                f"witness absent: lower bound aw > {claimed - 1} attested, not checked"
-            )
-        else:
-            notes.append("witness absent: a 1-coloring certifies nothing to check")
+        notes.append("witness absent: a 1-coloring certifies nothing to check")
         return VerificationReport(VERDICT_WITNESS_VALID, tuple(notes))
 
     values, r = witness

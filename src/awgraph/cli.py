@@ -293,7 +293,7 @@ def cmd_product_bound(args) -> int:
     left, _ = parse_graph_spec(args.left)
     right, _ = parse_graph_spec(args.right)
     report = verify_product_bound(left, right, budget=_budget_from(args))
-    print(f"product: {args.left} x {args.right} n={report.n}")
+    print(f"product: {args.left} x {args.right} n={report.result.n}")
     print(f"aw = {report.aw}")
     if report.aw == 4 and report.witness is not None:
         print(f"witness: {_coloring_line(report.witness)}")

@@ -126,9 +126,6 @@ def grid_formula_table(
 class ProductBoundReport:
     """Result of checking aw(G box H, 3) <= 4 for one product."""
 
-    left_n: int
-    right_n: int
-    n: int
     result: AwResult
 
     @property
@@ -159,9 +156,7 @@ def verify_product_bound(
         raise ValueError(
             f"product bound needs both factors on >= 2 vertices, got {g.n} and {h.n}"
         )
-    product = cartesian_product(g, h)
-    result = compute_aw(product, 3, budget=budget)
-    return ProductBoundReport(left_n=g.n, right_n=h.n, n=product.n, result=result)
+    return ProductBoundReport(compute_aw(cartesian_product(g, h), 3, budget=budget))
 
 
 def connected_graphs(n: int) -> list[Graph]:

@@ -129,17 +129,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs shortest-path distances of a connected graph."""
-
-    n: int
-    dist: tuple[tuple[int, ...], ...]
-
-    def d(self, u: int, v: int) -> int:
-        return self.dist[u][v]
-
-
-@dataclass(frozen=True)
 class GridCoordinates:
     """1-based (row, column) coordinates for the product of two paths.
 
@@ -320,8 +309,11 @@ def graph_to_text(g: Graph) -> str:
 # ======================================================================
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every source.  Symmetric with zero diagonal by construction."""
+def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Distance rows by BFS from every source: row u holds d(u, v) at v.
+
+    Symmetric with zero diagonal by construction.
+    """
     rows: list[tuple[int, ...]] = []
     for s in range(g.n):
         dist = [-1] * g.n
@@ -337,7 +329,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         if min(dist) < 0:
             raise DisconnectedGraphError(f"vertex unreachable from {s}")
         rows.append(tuple(dist))
-    return DistanceMatrix(g.n, tuple(rows))
+    return tuple(rows)
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -360,11 +352,14 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return Graph.from_edges(len(vs), edges)
 
 
-def is_isometric_subgraph(g: Graph, vertices, dist: DistanceMatrix | None = None) -> bool:
+def is_isometric_subgraph(
+    g: Graph, vertices, dist: tuple[tuple[int, ...], ...] | None = None
+) -> bool:
     """True iff the induced subgraph is connected and preserves all distances.
 
     Internal shortest paths of the induced subgraph must equal the distances
-    measured in g for every vertex pair of the subset.
+    measured in g (the rows of dist, computed when omitted) for every vertex
+    pair of the subset.
     """
     vs = sorted(set(vertices))
     try:
@@ -373,7 +368,4 @@ def is_isometric_subgraph(g: Graph, vertices, dist: DistanceMatrix | None = None
         return False
     if dist is None:
         dist = all_pairs_distances(g)
-    rows = dist.dist
-    return all(
-        local.dist[i] == tuple(rows[s][t] for t in vs) for i, s in enumerate(vs)
-    )
+    return all(local[i] == tuple(dist[s][t] for t in vs) for i, s in enumerate(vs))

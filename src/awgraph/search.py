@@ -57,13 +57,18 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
     """Canonical rainbow-free exact r-colorings in lex order; only the first if first_only.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
-    every vertex keeps a domain of colors it may still take, undone through a
-    trail on backtracking.  Choosing a color for vertex v reads each AP whose
-    second-largest vertex is v: when its k - 1 assigned members carry
-    pairwise distinct colors, its largest member w is restricted to those
-    colors, since any other would make the AP rainbow.  A choice that empties
-    a domain is rejected without entering the next vertex.  Entering vertex v
-    allows its domain within 1..top+1 (at most r).
+    every vertex keeps a domain of colors it may still take.  Choosing a color
+    for vertex v reads each AP whose second-largest vertex is v: when its
+    k - 1 assigned members carry pairwise distinct colors, its largest member
+    w is restricted to those colors, since any other would make the AP
+    rainbow.  A choice that empties a domain is rejected without entering the
+    next vertex.  Entering vertex v allows its domain within 1..top+1 (at
+    most r).
+
+    doms[v] is the list of domains in force on entering v.  A choice at v
+    passes doms[v] on to v + 1 unchanged, or a copy of it made at its first
+    restriction, so a list in doms is never changed and backtracking to v
+    has nothing to undo.
 
     A restricted domain holds only colors already in use, so only unassigned
     vertices with an unrestricted domain can bring in the r - top colors still
@@ -80,14 +85,12 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
     if r >= k:
         for vs in table.sets:
             ahead[vs[-2]].append((vs[0] if k == 3 else vs[:-2], vs[-1]))
-    dom = [full] * n
+    doms: list[list[int]] = [[full] * n] * (n + 1)  # doms[v > 0] is set on entering v
     bits = [0] * n
     cols = [0] * n  # the chosen colors as ints, copied out at each solution
     untried = [0] * n
     tops = [0] * n
     frees = [0] * n
-    marks = [0] * n
-    trail: list[int] = []  # flat (vertex, previous domain) pairs
     found: list[tuple[int, ...]] = []
     nodes = 0
     v = top = 0
@@ -105,21 +108,16 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
                 if first_only:
                     return found
         elif r - top <= free:
-            d = dom[v]
+            d = doms[v][v]
             allowed = d & ((1 << (top + 1 if top < r else r)) - 1)
             tops[v] = top
             frees[v] = free - 1 if d == full else free
-            marks[v] = len(trail)
         while True:
             while not allowed:
                 if v == 0:
                     return found
                 v -= 1
                 allowed = untried[v]
-            mark = marks[v]
-            while len(trail) > mark:
-                d = trail.pop()
-                dom[trail.pop()] = d
             low = allowed & -allowed
             allowed ^= low
             top = tops[v]
@@ -127,6 +125,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
             if c > top:
                 top = c
             free = frees[v]
+            dom = given = doms[v]
             # Fewer than k - 1 colors in use cannot restrict anything.
             if top < k - 1:
                 break
@@ -141,8 +140,8 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
                                 break
                             if d == full:
                                 free -= 1
-                            trail.append(w)
-                            trail.append(d)
+                            if dom is given:
+                                dom = given[:]
                             dom[w] = nd
                 else:
                     break
@@ -162,8 +161,8 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
                                 break
                             if d == full:
                                 free -= 1
-                            trail.append(w)
-                            trail.append(d)
+                            if dom is given:
+                                dom = given[:]
                             dom[w] = nd
                 else:
                     break
@@ -171,6 +170,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
         bits[v] = low
         cols[v] = c
         v += 1
+        doms[v] = dom
 
 
 # ======================================================================
@@ -216,6 +216,11 @@ def enumerate_rainbow_free_colorings(
     return [Coloring(c, r) for c in _search(table, r, budget, False)]
 
 
+def per_r_verdicts(k: int, n: int, aw: int) -> tuple[tuple[int, bool], ...]:
+    """The per_r that compute_aw records when it finds aw: r = k..min(aw, n), true below aw."""
+    return tuple((r, r < aw) for r in range(k, min(aw, n) + 1))
+
+
 def compute_aw(
     g: Graph,
     k: int,
@@ -239,21 +244,19 @@ def compute_aw(
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     n = g.n
-    per_r: list[tuple[int, bool]] = []
     aw = n + 1
     witness: Coloring | None = None
     if k <= n:
         table = enumerate_k_aps(all_pairs_distances(g), k)
         for r in range(k, n + 1):
             c = exists_rainbow_free_coloring(table, r, budget=budget)
-            per_r.append((r, c is not None))
             if c is None:
                 aw = r
                 break
             witness = c
     if witness is None and aw > 2:
         witness = Coloring((1,) * (n - aw + 2) + tuple(range(2, aw)), aw - 1)
-    return AwResult(aw=aw, k=k, n=n, per_r=tuple(per_r), witness=witness)
+    return AwResult(aw, k, n, per_r_verdicts(k, n, aw), witness)
 
 
 def find_polychromatic_path(g: Graph, coloring: Coloring) -> list[int]:

@@ -61,7 +61,8 @@ def test_k2_is_all_pairs():
         table = enumerate_k_aps(dist, 2)
         assert _sets(table) == list(combinations(range(g.n), 2)), name
         for ap in table.aps:
-            assert ap.d == dist.d(*ap.vertices)
+            u, v = ap.vertices
+            assert ap.d == dist[u][v]
 
 
 def test_k_validation():
@@ -114,7 +115,7 @@ def test_witness_orderings_are_valid():
                 assert len(set(ap.vertices)) == k  # non-degenerate
                 assert ap.d >= 1
                 steps = {
-                    dist.d(ap.witness[i], ap.witness[i + 1]) for i in range(k - 1)
+                    dist[ap.witness[i]][ap.witness[i + 1]] for i in range(k - 1)
                 }
                 assert steps == {ap.d}, f"{name} {ap}"
 
@@ -130,17 +131,17 @@ def test_witness_orderings_follow_the_stated_rule():
             for ap in enumerate_k_aps(dist, k).aps:
                 vs = ap.vertices
                 if k == 3:
-                    m = min(x for x in vs if len({dist.d(x, y) for y in vs if y != x}) == 1)
+                    m = min(x for x in vs if len({dist[x][y] for y in vs if y != x}) == 1)
                     lo, hi = (x for x in vs if x != m)
                     expected = (lo, m, hi)
                 else:
                     expected = next(
                         p
                         for p in permutations(vs)
-                        if len({dist.d(p[i], p[i + 1]) for i in range(k - 1)}) == 1
+                        if len({dist[p[i]][p[i + 1]] for i in range(k - 1)}) == 1
                     )
                 assert ap.witness == expected, f"{name} k={k} {ap}"
-                assert ap.d == dist.d(expected[0], expected[1]), f"{name} k={k} {ap}"
+                assert ap.d == dist[expected[0]][expected[1]], f"{name} k={k} {ap}"
 
 
 def test_k3_middle_vertex_characterization():
@@ -151,9 +152,9 @@ def test_k3_middle_vertex_characterization():
         for trio in combinations(range(g.n), 3):
             a, b, c = trio
             has_middle = (
-                dist.d(a, b) == dist.d(b, c)
-                or dist.d(a, c) == dist.d(c, b)
-                or dist.d(b, a) == dist.d(a, c)
+                dist[a][b] == dist[b][c]
+                or dist[a][c] == dist[c][b]
+                or dist[b][a] == dist[a][c]
             )
             assert (trio in table) == has_middle, f"{name} {trio}"
 
@@ -164,7 +165,7 @@ def test_corner_pair_of_2x3_has_no_middle():
     g, coords = build_grid(2, 3)
     dist = all_pairs_distances(g)
     v_a, v_b = coords.vertex(1, 1), coords.vertex(2, 3)
-    assert all(dist.d(v_a, x) != dist.d(x, v_b) for x in range(g.n))
+    assert all(dist[v_a][x] != dist[x][v_b] for x in range(g.n))
     table = enumerate_k_aps(dist, 3)
     for ap in table.aps:
         if v_a in ap.vertices and v_b in ap.vertices:

@@ -46,14 +46,35 @@ def _grid23_text():
 
 def test_round_trip():
     for g, k, res in _instances():
-        text = emit_certificate(res, g)
-        assert text.endswith("\n")
-        cert = parse_certificate(text)
-        assert cert.graph == g
-        assert cert.k == k
-        assert cert.claimed_aw == res.aw
-        assert cert.witness == res.witness
-        assert cert.per_r == res.per_r
+        assert parse_certificate(emit_certificate(res, g)) == (res, g), (g, k)
+
+
+# Full certificate bytes, pinned: a grid with a witness, an absent witness
+# (aw - 1 = 1) and an empty PER_R (k > n).
+GOLDEN_CERTIFICATES = [
+    (
+        build_grid(2, 3)[0],
+        3,
+        "GRAPH\n6 7\n0 1\n0 3\n1 2\n1 4\n2 5\n3 4\n4 5\n\nK\n3\n\nCLAIMED_AW\n4\n\n"
+        "WITNESS\n6 3\n1 1 2 3 1 1\n\nPER_R\n3 true\n4 false\n",
+    ),
+    (
+        build_path(2),
+        2,
+        "GRAPH\n2 1\n0 1\n\nK\n2\n\nCLAIMED_AW\n2\n\nWITNESS\nnone\n\nPER_R\n2 false\n",
+    ),
+    (
+        build_path(3),
+        5,
+        "GRAPH\n3 2\n0 1\n1 2\n\nK\n5\n\nCLAIMED_AW\n4\n\n"
+        "WITNESS\n3 3\n1 2 3\n\nPER_R\nnone\n",
+    ),
+]
+
+
+def test_golden_certificate_bytes():
+    for g, k, text in GOLDEN_CERTIFICATES:
+        assert emit_certificate(compute_aw(g, k), g) == text, (g, k)
 
 
 def test_emitted_certificates_verify():
@@ -202,16 +223,21 @@ def test_k_above_n_has_no_aps_and_verifies():
     assert any("against all 0 13-APs" in note for note in report.notes)
 
 
-def test_absent_witness_is_attested_not_checked():
+def _grid22_text(claimed, per_r):
     g, _ = build_grid(2, 2)
     graph_section = emit_certificate(compute_aw(g, 3), g).split("\n\nK\n")[0]
-    text = (
+    return (
         graph_section
-        + "\n\nK\n3\n\nCLAIMED_AW\n3\n\nWITNESS\nnone\n\nPER_R\n3 false\n"
+        + f"\n\nK\n3\n\nCLAIMED_AW\n{claimed}\n\nWITNESS\nnone\n\nPER_R\n{per_r}\n"
     )
-    report = verify_certificate(text)
-    assert report.verdict == VERDICT_WITNESS_VALID
-    assert any("attested" in note for note in report.notes)
+
+
+def test_absent_witness_is_attested_not_checked():
+    # compute_aw writes a witness exactly when aw >= 3, so a claim of 3
+    # without one is not a certificate it can emit.
+    report = verify_certificate(_grid22_text(3, "3 false"))
+    assert report.verdict == VERDICT_INCONSISTENT
+    assert any("WITNESS none" in note for note in report.notes)
 
     # P_2 with k = 2: aw - 1 = 1, so no witness can exist at all.
     p2 = build_path(2)
@@ -220,6 +246,20 @@ def test_absent_witness_is_attested_not_checked():
     report = verify_certificate(emit_certificate(res, p2))
     assert report.verdict == VERDICT_WITNESS_VALID
     assert any("witness absent" in note for note in report.notes)
+    # ... and a witness there is one the search never writes.
+    text = _swap(emit_certificate(res, p2), "WITNESS\nnone", "WITNESS\n2 1\n1 1")
+    report = verify_certificate(text)
+    assert report.verdict == VERDICT_INCONSISTENT
+    assert any("WITNESS present" in note for note in report.notes)
+
+
+def test_false_claim_without_witness_is_inconsistent():
+    # aw(P_2 box P_2, 3) = 3.  Claiming 4 with the PER_R that claim fixes
+    # and no witness would attest a rainbow-free exact 3-coloring that
+    # does not exist.
+    assert compute_aw(build_grid(2, 2)[0], 3).aw == 3
+    report = verify_certificate(_grid22_text(4, "3 true\n4 false"))
+    assert report.verdict == VERDICT_INCONSISTENT, report.notes
 
 
 def test_checker_does_not_import_the_search_engine():

@@ -125,7 +125,7 @@ def test_product_bound_small():
     report = verify_product_bound(build_path(2), build_path(2))
     assert report.aw == 3
     assert report.passed
-    assert (report.left_n, report.right_n, report.n) == (2, 2, 4)
+    assert report.result.n == 4
 
     report = verify_product_bound(build_path(2), build_path(3))
     assert report.aw == 4

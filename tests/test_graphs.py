@@ -140,7 +140,7 @@ def test_grid_coordinates_bijection_and_distance_formula():
                     for a in range(1, m + 1):
                         for b in range(1, n + 1):
                             expected = abs(i - a) + abs(j - b)
-                            assert dist.d(coords.vertex(i, j), coords.vertex(a, b)) == expected
+                            assert dist[coords.vertex(i, j)][coords.vertex(a, b)] == expected
 
 
 def test_grid_coordinates_validation():
@@ -157,21 +157,21 @@ def test_distance_matrix_invariants():
     for name, g in small_corpus():
         dist = all_pairs_distances(g)
         for u in range(g.n):
-            assert dist.d(u, u) == 0
+            assert dist[u][u] == 0
             for v in range(g.n):
-                assert dist.d(u, v) == dist.d(v, u)
-                assert (dist.d(u, v) == 1) == (v in g.adjacency[u])
+                assert dist[u][v] == dist[v][u]
+                assert (dist[u][v] == 1) == (v in g.adjacency[u])
                 for w in range(g.n):
-                    assert dist.d(u, w) <= dist.d(u, v) + dist.d(v, w), name
+                    assert dist[u][w] <= dist[u][v] + dist[v][w], name
     rng_graph = random_connected_graph(9, seed=93)
     dist = all_pairs_distances(rng_graph)
-    assert all(dist.d(0, v) >= 0 for v in range(rng_graph.n))
+    assert all(dist[0][v] >= 0 for v in range(rng_graph.n))
 
 
 def test_known_distances():
-    assert all_pairs_distances(build_path(4)).d(0, 3) == 3
-    assert all_pairs_distances(build_cycle(6)).d(0, 3) == 3
-    assert all_pairs_distances(build_star(4)).d(1, 2) == 2
+    assert all_pairs_distances(build_path(4))[0][3] == 3
+    assert all_pairs_distances(build_cycle(6))[0][3] == 3
+    assert all_pairs_distances(build_star(4))[1][2] == 2
 
 
 def test_layer_vertices():

@@ -192,16 +192,6 @@ def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     return ApTable(k, dist, tuple(sorted(found)))
 
 
-def is_rainbow(ap: ArithmeticProgression, colors) -> bool:
-    """True iff the coloring assigns pairwise distinct colors on the AP.
-
-    colors is any sequence indexed by vertex id (a Coloring's colors tuple or
-    a plain list); it must cover every vertex of the AP.
-    """
-    k = len(ap.vertices)
-    return len({colors[v] for v in ap.vertices}) == k
-
-
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:
     """First rainbow AP in table order, or None when the coloring is rainbow-free.
 

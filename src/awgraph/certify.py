@@ -230,8 +230,9 @@ def verify_certificate(text: str) -> VerificationReport:
     Rebuilds distances and the AP table from the embedded graph and checks
     the witness (dimension, color count claimed aw - 1, exactness,
     rainbow-freeness) against them.  Nonexistence attestations are only
-    checked arithmetically; a "valid" verdict therefore certifies the lower
-    bound and the internal consistency, not the exhaustive search itself.
+    checked arithmetically, except that a graph without k-APs must claim
+    n + 1; a "valid" verdict therefore certifies the lower bound and the
+    internal consistency, not the exhaustive search itself.
     """
     try:
         graph, k, claimed, witness, per_r = _parse_fields(text)
@@ -270,6 +271,13 @@ def verify_certificate(text: str) -> VerificationReport:
             VERDICT_WITNESS_INVALID, tuple(notes + [f"witness is {exc}"])
         )
     table = enumerate_k_aps(all_pairs_distances(graph), k)
+    # With k <= n every exact n-coloring is rainbow on any k-AP, so a graph
+    # without k-APs has aw = n + 1 and nothing less.
+    if not table.sets and claimed <= n:
+        return VerificationReport(
+            VERDICT_INCONSISTENT,
+            tuple(notes + [f"graph has no {k}-AP, so aw = n + 1 = {n + 1}, not {claimed}"]),
+        )
     rainbow = find_rainbow_ap(table, values)
     if rainbow is not None:
         return VerificationReport(

@@ -80,7 +80,7 @@ def _parse_one(spec: str, depth: int) -> tuple[Graph, GridCoordinates | None, st
         product = cartesian_product(left, right)
         coords = None
         # A product of two bare paths is a grid; report coordinates for it.
-        if _is_path(left) and _is_path(right):
+        if left == build_path(left.n) and right == build_path(right.n):
             coords = GridCoordinates(left.n, right.n)
         return product, coords, rest
     if kind == "file":
@@ -111,13 +111,6 @@ def _parse_one(spec: str, depth: int) -> tuple[Graph, GridCoordinates | None, st
     if kind not in builders:
         raise SpecError(f"unknown graph kind {kind!r}")
     return builders[kind](_parse_int(arg, f"{kind} size")), None, rest
-
-
-def _is_path(g: Graph) -> bool:
-    """True for a graph built as path:N (the canonical 0-1-...-n-1 chain)."""
-    return g.m == g.n - 1 and all(
-        v == u + 1 for u in range(g.n) for v in g.adjacency[u] if v > u
-    )
 
 
 def parse_graph_spec(spec: str) -> tuple[Graph, GridCoordinates | None]:

@@ -8,7 +8,6 @@ coordinate maps rely on it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -80,24 +79,10 @@ class Graph:
             for v in row:
                 if u not in self.adjacency[v]:
                     raise GraphError(f"edge {u}-{v} missing its reverse")
-        if self._component_size(0) != self.n:
+        if -1 in distances_from(self, 0):
             raise DisconnectedGraphError(
                 "graph is disconnected (all graphs here must be connected)"
             )
-
-    def _component_size(self, start: int) -> int:
-        seen = bytearray(self.n)
-        seen[start] = 1
-        queue = deque([start])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        return count
 
     @property
     def m(self) -> int:
@@ -112,15 +97,15 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Build a Graph from an iterable of unordered endpoint pairs."""
-        rows: list[set[int]] = [set() for _ in range(max(n, 0))]
-        if n < 1:
-            raise GraphError(f"graph needs at least one vertex, got n={n}")
+        """Build a Graph from an iterable of unordered endpoint pairs.
+
+        Only the faults the row sets would hide are checked here; the Graph
+        itself rejects n < 1, self-loops and disconnection.
+        """
+        rows: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at {u}")
             if v in rows[u]:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             rows[u].add(v)
@@ -309,27 +294,31 @@ def graph_to_text(g: Graph) -> str:
 # ======================================================================
 
 
-def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Distance rows by BFS from every source: row u holds d(u, v) at v.
+def distances_from(g: Graph, s: int) -> list[int]:
+    """d(s, v) at index v by breadth-first search, -1 where v is unreachable.
 
-    Symmetric with zero diagonal by construction.
+    The vertices are visited in the order they are reached, by walking the
+    list they are appended to.
     """
-    rows: list[tuple[int, ...]] = []
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for v in g.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue.append(v)
-        if min(dist) < 0:
-            raise DisconnectedGraphError(f"vertex unreachable from {s}")
-        rows.append(tuple(dist))
-    return tuple(rows)
+    dist = [-1] * g.n
+    dist[s] = 0
+    reached = [s]
+    for u in reached:
+        du = dist[u] + 1
+        for v in g.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                reached.append(v)
+    return dist
+
+
+def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Distance rows, one breadth-first search per source: row u holds d(u, v) at v.
+
+    Symmetric with zero diagonal; every entry is a true distance because a
+    Graph is connected.
+    """
+    return tuple(tuple(distances_from(g, s)) for s in range(g.n))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

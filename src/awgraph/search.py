@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .aps import ApTable, enumerate_k_aps
 from .coloring import Coloring
 from .errors import BudgetExceededError
-from .graphs import Graph, all_pairs_distances
+from .graphs import Graph, all_pairs_distances, distances_from
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -263,10 +263,12 @@ def find_polychromatic_path(g: Graph, coloring: Coloring) -> list[int]:
     """A simple path carrying at least three colors, built deterministically.
 
     Take the first edge uv with different colors, the vertex w nearest to v
-    carrying a third color (ties by id), and a shortest path from v to w;
-    prepend u when it is not already on that path.  The result starts at a
-    vertex colored c(u) or lies on a geodesic, touches colors c(u), c(v) and
-    c(w), and is a simple path because u is adjacent to the path's start.
+    carrying a third color (ties by id), and the shortest path from v to w
+    found by walking back from w, each step to the smallest-id neighbor one
+    step closer to v; prepend u when it is not already on that path.  The
+    result starts at a vertex colored c(u) or lies on a geodesic, touches
+    colors c(u), c(v) and c(w), and is a simple path because u is adjacent
+    to the path's start.
     """
     if coloring.n != g.n:
         raise ValueError(f"coloring has {coloring.n} vertices, graph has {g.n}")
@@ -284,19 +286,7 @@ def find_polychromatic_path(g: Graph, coloring: Coloring) -> list[int]:
     if edge is None:
         raise ValueError("no bichromatic edge (coloring cannot be exact)")
     u, v = edge
-    dist = [-1] * g.n
-    parent = [-1] * g.n
-    dist[v] = 0
-    queue = [v]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for y in g.adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                parent[y] = x
-                queue.append(y)
+    dist = distances_from(g, v)
     banned = {cs[u], cs[v]}
     w = min(
         (x for x in range(g.n) if cs[x] not in banned),
@@ -304,7 +294,8 @@ def find_polychromatic_path(g: Graph, coloring: Coloring) -> list[int]:
     )
     path = [w]
     while path[-1] != v:
-        path.append(parent[path[-1]])
+        x = path[-1]
+        path.append(next(y for y in g.adjacency[x] if dist[y] == dist[x] - 1))
     path.reverse()
     if u not in path:
         path.insert(0, u)

@@ -22,6 +22,7 @@ from awgraph import (
     parse_graph,
     verify_certificate,
 )
+from prop_helpers import small_corpus
 
 
 def _instances():
@@ -34,6 +35,7 @@ def _instances():
         (build_path(5), 4),
         (build_star(5), 3),
         (build_path(3), 5),  # k = n + 2: aw = n + 1 with no PER_R lines
+        *((g, k) for _, g in small_corpus() for k in (2, 3, 4, 5)),
     ):
         out.append((g, k, compute_aw(g, k)))
     return out
@@ -221,6 +223,23 @@ def test_k_above_n_has_no_aps_and_verifies():
     report = verify_certificate(emit_certificate(compute_aw(g, 13), g))
     assert report.verdict == VERDICT_WITNESS_VALID, report.notes
     assert any("against all 0 13-APs" in note for note in report.notes)
+
+
+def test_graph_without_k_aps_must_claim_n_plus_1():
+    # star:4 has diameter 2, so it has no 4-AP and every exact 4-coloring is
+    # rainbow-free: aw = 5.  A claim of 4 with a valid 3-coloring witness
+    # passes every other check.
+    g = build_star(4)
+    assert enumerate_k_aps(all_pairs_distances(g), 4).sets == ()
+    text = (
+        "GRAPH\n4 3\n0 1\n0 2\n0 3\n\nK\n4\n\nCLAIMED_AW\n4\n\n"
+        "WITNESS\n4 3\n1 1 2 3\n\nPER_R\n4 false\n"
+    )
+    report = verify_certificate(text)
+    assert report.verdict == VERDICT_INCONSISTENT, report.notes
+    assert any("aw = n + 1 = 5" in note for note in report.notes)
+    report = verify_certificate(emit_certificate(compute_aw(g, 4), g))
+    assert report.verdict == VERDICT_WITNESS_VALID, report.notes
 
 
 def _grid22_text(claimed, per_r):

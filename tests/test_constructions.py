@@ -1,5 +1,6 @@
 """Explicit grid colorings, the grid closed form, and the product bound."""
 
+from collections import Counter
 from itertools import permutations
 
 import networkx
@@ -7,21 +8,29 @@ import pytest
 
 from awgraph import (
     GRID_COLORINGS,
+    VERDICT_WITNESS_VALID,
     Graph,
     GraphError,
     all_pairs_distances,
+    build_cycle,
     build_grid,
     build_path,
+    cartesian_product,
     closed_form_aw_grid,
     compute_aw,
     connected_graphs,
     construct_corner_coloring,
     construct_two_red_coloring,
+    emit_certificate,
     enumerate_k_aps,
+    exists_rainbow_free_coloring,
     find_rainbow_ap,
     grid_formula_table,
+    verify_certificate,
     verify_product_bound,
 )
+from awgraph import search
+import plain_engine
 from test_search import AW_GRID
 
 
@@ -180,3 +189,45 @@ def test_product_bound_path2_through_seven_vertices():
         assert report.passed, f"aw = {report.aw} on {sorted(atlas_graph.edges())}"
         per_size[n] += 1
     assert per_size == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+# Atlas indices (networkx.graph_atlas_g) of the connected 7-vertex graphs H
+# with aw(P_3 box H, 3) = 4; every other one has aw = 3.
+P3_AW4_ATLAS = (
+    271, 272, 279, 280, 319, 341, 349, 350, 382, 392,
+    411, 413, 435, 448, 483, 485, 507, 525, 556, 564,
+    565, 572, 577, 579, 581, 606, 615, 631, 667, 674,
+    684, 693, 695, 698, 706, 708, 713, 714, 715, 716,
+    717, 718, 723, 727, 743, 762, 781, 786, 800, 806,
+    812, 819, 823, 828, 835, 844, 845, 849, 853, 855,
+    858, 860, 861, 864, 867, 874, 894, 902, 907, 909,
+    918, 942, 943, 954, 957, 959, 962, 966, 968, 971,
+    979, 985, 986, 988, 1017, 1019, 1024, 1054, 1055, 1058,
+    1062, 1069, 1071, 1072, 1111, 1127, 1130, 1131, 1174, 1177,
+)
+
+
+def test_product_bound_path3_and_cycle3_on_seven_vertices(monkeypatch):
+    p3, c3 = build_path(3), build_cycle(3)
+    graphs = {
+        i: Graph.from_edges(7, [tuple(sorted(e)) for e in ag.edges()])
+        for i, ag in enumerate(networkx.graph_atlas_g())
+        if ag.number_of_nodes() == 7 and networkx.is_connected(ag)
+    }
+    aws = {i: (verify_product_bound(p3, h), verify_product_bound(c3, h)) for i, h in graphs.items()}
+    assert len(aws) == 853
+    assert Counter(a.aw for a, _ in aws.values()) == {3: 753, 4: 100}
+    assert Counter(b.aw for _, b in aws.values()) == {3: 853}
+    assert tuple(i for i, (a, _) in aws.items() if a.aw == 4) == P3_AW4_ATLAS
+    # Each aw = 4 witness passes the certificate checker, and every 20th is
+    # found again, the same lex-least one, by the plain reference engine.
+    # That engine needs 3 to 10 s per aw = 3 or r = 4 proof at 21 vertices,
+    # so the nonexistence verdicts are not re-derived here.
+    for i in P3_AW4_ATLAS:
+        g = cartesian_product(p3, graphs[i])
+        report = verify_certificate(emit_certificate(aws[i][0].result, g))
+        assert report.verdict == VERDICT_WITNESS_VALID, (i, report.notes)
+    monkeypatch.setattr(search, "_search", plain_engine._search)
+    for i in P3_AW4_ATLAS[::20]:
+        table = enumerate_k_aps(all_pairs_distances(cartesian_product(p3, graphs[i])), 3)
+        assert exists_rainbow_free_coloring(table, 3) == aws[i][0].witness, i

@@ -1,5 +1,6 @@
 """Graph construction, parsing, products, distances, isometric subgraphs."""
 
+import networkx as nx
 import pytest
 
 from awgraph import (
@@ -172,6 +173,26 @@ def test_known_distances():
     assert all_pairs_distances(build_path(4))[0][3] == 3
     assert all_pairs_distances(build_cycle(6))[0][3] == 3
     assert all_pairs_distances(build_star(4))[1][2] == 2
+
+
+def _networkx_rows(h, n):
+    lengths = dict(nx.shortest_path_length(h))
+    return tuple(tuple(lengths[u][v] for v in range(n)) for u in range(n))
+
+
+def test_distances_match_networkx():
+    # Every connected atlas graph on 1..7 vertices, then every grid up to 8x8
+    # with networkx building the grid itself.
+    atlas = [ag for ag in nx.graph_atlas_g() if ag.number_of_nodes() and nx.is_connected(ag)]
+    assert len(atlas) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+    for ag in atlas:
+        n = ag.number_of_nodes()
+        g = Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()])
+        assert all_pairs_distances(g) == _networkx_rows(ag, n), sorted(ag.edges())
+    for m in range(1, 9):
+        for n in range(1, 9):
+            h = nx.relabel_nodes(nx.grid_2d_graph(m, n), lambda ij: ij[0] * n + ij[1])
+            assert all_pairs_distances(build_grid(m, n)[0]) == _networkx_rows(h, m * n), (m, n)
 
 
 def test_layer_vertices():

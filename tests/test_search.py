@@ -8,6 +8,7 @@ import pytest
 from awgraph import (
     BudgetExceededError,
     Coloring,
+    Graph,
     all_pairs_distances,
     build_cycle,
     build_grid,
@@ -264,6 +265,15 @@ def test_polychromatic_path_frozen():
     assert path == [1, 0, 2]
     p3 = build_path(3)
     assert find_polychromatic_path(p3, Coloring((1, 2, 3), 3)) == [0, 1, 2]
+
+
+def test_polychromatic_path_walks_back_by_smallest_id():
+    # Atlas graph #563: w = 6 is at distance 3 from v = 1 through 3 or 5; the
+    # walk back from w steps to the smaller id, 3.
+    edges = [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (2, 3), (3, 6), (4, 5), (5, 6)]
+    g = Graph.from_edges(7, edges)
+    path = find_polychromatic_path(g, Coloring((3, 2, 3, 3, 2, 3, 1), 3))
+    assert path == [0, 1, 2, 3, 6]
 
 
 def test_polychromatic_path_on_random_colorings():

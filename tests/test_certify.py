@@ -1,5 +1,7 @@
 """Certificate emission, parsing, and the four-way verification verdict."""
 
+import hashlib
+
 import pytest
 
 import awgraph.certify
@@ -10,6 +12,7 @@ from awgraph import (
     VERDICT_MALFORMED,
     VERDICT_WITNESS_INVALID,
     VERDICT_WITNESS_VALID,
+    VerificationReport,
     all_pairs_distances,
     build_complete,
     build_grid,
@@ -183,6 +186,24 @@ def test_malformed_inputs():
             parse_certificate(text)
 
 
+def test_malformed_notes_name_the_defect():
+    good = _grid23_text()
+    for text, note in (
+        (good.replace("K\n3\n", "K\n", 1), "section K has no content"),
+        (good.replace("K\n3\n", "K\n3\n3\n", 1), "section K must be a single line"),
+        (good.replace("3 true", "x true"), "PER_R line must start with an integer, got 'x true'"),
+    ):
+        assert verify_certificate(text) == VerificationReport(VERDICT_MALFORMED, (note,))
+
+
+def test_claim_outside_bounds_is_inconsistent():
+    g = build_path(4)
+    text = _swap(emit_certificate(compute_aw(g, 3), g), "CLAIMED_AW\n4", "CLAIMED_AW\n9")
+    report = verify_certificate(text)
+    assert report.verdict == VERDICT_INCONSISTENT
+    assert "claimed aw=9 outside the bounds 3..n+1=5" in report.notes
+
+
 def test_comment_lines_in_graph_and_witness():
     # Both sections embed file formats that allow '#' comment lines.
     good = _grid23_text()
@@ -289,3 +310,84 @@ def test_checker_does_not_import_the_search_engine():
         "enumerate_rainbow_free_colorings",
     ):
         assert banned not in names
+
+
+# Edits applied to every emitted certificate in the pinned sweep below, each
+# on its first occurrence: the claim set to 1, the first flag flipped either
+# way, an extra PER_R line, a comment in WITNESS and K = 1.  A witness is also
+# reversed, made one color, declared with one more color, and cut by a vertex.
+def _pinned_edits(text, k, aw):
+    edits = [
+        text.replace(f"CLAIMED_AW\n{aw}\n", "CLAIMED_AW\n1\n", 1),
+        text.replace(" true", " false", 1),
+        text.replace(" false", " true", 1),
+        text + "9 true\n",
+        text.replace("WITNESS\n", "WITNESS\n# witness\n", 1),
+        text.replace(f"\n\nK\n{k}\n", "\n\nK\n1\n", 1),
+    ]
+    head, rest = text.split("WITNESS\n")
+    if rest.startswith("none"):
+        return edits
+    header, colors, tail = rest.split("\n", 2)
+    n, r = map(int, header.split())
+    for header, colors in (
+        (header, " ".join(reversed(colors.split()))),
+        (header, " ".join(["1"] * n)),
+        (f"{n} {r + 1}", colors),
+        (f"{n - 1} {r}", colors.rsplit(" ", 1)[0]),
+    ):
+        edits.append(f"{head}WITNESS\n{header}\n{colors}\n{tail}")
+    return edits
+
+
+def _pinned_reports():
+    for name, g in small_corpus():
+        for k in (2, 3, 4, 5):
+            res = compute_aw(g, k)
+            text = emit_certificate(res, g)
+            lines = text.split("\n")
+            variants = [text, *_pinned_edits(text, k, res.aw)]
+            variants += ["\n".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))]
+            for variant in variants:
+                yield (name, k), variant, verify_certificate(variant)
+
+
+# sha256 over repr((verdict, notes)) of every report in _pinned_reports, in order.
+PINNED_REPORTS_SHA256 = "7ff63e18ab67920d33a8c22cee1c374b0b62fa2fa87b7fae99453502c8143b2c"
+
+
+def test_verdicts_and_notes_are_pinned():
+    digest = hashlib.sha256()
+    by_case = {}
+    for case, text, report in _pinned_reports():
+        digest.update(repr((report.verdict, report.notes)).encode())
+        by_case.setdefault(case, []).append(report)
+    assert len(by_case) == 4 * len(small_corpus())
+    assert digest.hexdigest() == PINNED_REPORTS_SHA256
+    # A few reports in full, so a failure above can be read: grid:2x3 at
+    # k = 3 as emitted, with the claim set to 1, with the first "true"
+    # flipped, and with K = 1.
+    emitted, claim1, flipped = by_case["grid:2x3", 3][:3]
+    assert emitted == VerificationReport(
+        VERDICT_WITNESS_VALID,
+        (
+            "graph: n=6 m=7, k=3, claimed aw=4",
+            "nonexistence flags are attestations of an exhausted search, not re-proved",
+            "witness checked: exact 3-coloring, rainbow-free against all 12 3-APs",
+        ),
+    )
+    assert claim1 == VerificationReport(
+        VERDICT_INCONSISTENT,
+        ("graph: n=6 m=7, k=3, claimed aw=1", "claimed aw=1 outside the bounds 3..n+1=7"),
+    )
+    assert flipped == VerificationReport(
+        VERDICT_INCONSISTENT,
+        (
+            "graph: n=6 m=7, k=3, claimed aw=4",
+            "PER_R [3 false, 4 false] differs from [3 true, 4 false],"
+            " the only section claimed aw=4 allows",
+        ),
+    )
+    assert by_case["grid:2x3", 3][6] == VerificationReport(
+        VERDICT_MALFORMED, ("k must be >= 2, got 1",)
+    )

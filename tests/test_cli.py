@@ -278,6 +278,29 @@ def test_usage_errors(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_usage_error_messages(capsys, monkeypatch):
+    for argv, line in (
+        (["aw", "--graph", "path3", "--k", "3"], "graph spec needs '<kind>:...', got 'path3'"),
+        (
+            ["aw", "--graph", "product:path:2", "--k", "3"],
+            "product spec needs two comma-separated operands",
+        ),
+    ):
+        assert run(capsys, argv) == (EXIT_USAGE, "", f"error: {line}\n"), argv
+    monkeypatch.setenv("AWGRAPH_BUDGET", "0")
+    assert run(capsys, ["aw", "--graph", "path:3", "--k", "3"]) == (
+        EXIT_USAGE,
+        "",
+        "error: AWGRAPH_BUDGET must be positive, got 0\n",
+    )
+
+
+def test_aw_without_witness(capsys):
+    code, out, err = run(capsys, ["aw", "--graph", "path:2", "--k", "2"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("aw = 2\nper-r: 2=none\nwitness: none\n")
+
+
 def test_budget_exit_codes(capsys, monkeypatch):
     code, _, err = run(
         capsys, ["aw", "--graph", "grid:3x4", "--k", "3", "--budget", "5"]

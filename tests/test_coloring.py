@@ -76,3 +76,7 @@ def test_parse_coloring_rejections():
         parse_coloring("not a header\n1 2\n")
     with pytest.raises(ColoringFormatError):
         parse_coloring("2 2\n1 2\nextra\n")
+    with pytest.raises(ColoringFormatError, match="two integers"):
+        parse_coloring("x 2\n1 2\n")
+    with pytest.raises(ColoringFormatError, match="need n >= 1 and r >= 1"):
+        parse_coloring("2 0\n1 1\n")

@@ -1,7 +1,7 @@
 """Explicit grid colorings, the grid closed form, and the product bound."""
 
 from collections import Counter
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import networkx
 import pytest
@@ -231,3 +231,43 @@ def test_product_bound_path3_and_cycle3_on_seven_vertices(monkeypatch):
     for i in P3_AW4_ATLAS[::20]:
         table = enumerate_k_aps(all_pairs_distances(cartesian_product(p3, graphs[i])), 3)
         assert exists_rainbow_free_coloring(table, 3) == aws[i][0].witness, i
+
+
+# The unordered factor pairs with 2 <= |G| <= |H| <= 5 and aw(G box H, 3) = 4,
+# as (|G|, index in connected_graphs(|G|), |H|, index); the other 414 have aw = 3.
+PAIR_AW4 = (
+    (2, 0, 3, 0), (2, 0, 4, 3), (2, 0, 4, 4), (2, 0, 5, 2), (2, 0, 5, 12),
+    (2, 0, 5, 16), (2, 0, 5, 18), (2, 0, 5, 19), (3, 0, 4, 1), (3, 0, 5, 1),
+    (3, 0, 5, 6), (3, 0, 5, 10), (4, 1, 4, 1), (4, 1, 4, 3), (4, 1, 4, 4),
+    (4, 1, 5, 1), (4, 1, 5, 2), (4, 1, 5, 6), (4, 1, 5, 10), (4, 1, 5, 12),
+    (4, 1, 5, 16), (4, 1, 5, 18), (4, 1, 5, 19), (4, 3, 5, 1), (4, 3, 5, 6),
+    (4, 3, 5, 10), (4, 4, 5, 1), (4, 4, 5, 6), (4, 4, 5, 10), (5, 1, 5, 1),
+    (5, 1, 5, 2), (5, 1, 5, 6), (5, 1, 5, 10), (5, 1, 5, 12), (5, 1, 5, 16),
+    (5, 1, 5, 18), (5, 1, 5, 19), (5, 2, 5, 2), (5, 2, 5, 6), (5, 2, 5, 10),
+    (5, 6, 5, 6), (5, 6, 5, 10), (5, 6, 5, 12), (5, 6, 5, 16), (5, 6, 5, 18),
+    (5, 6, 5, 19), (5, 10, 5, 10), (5, 10, 5, 12), (5, 10, 5, 16), (5, 10, 5, 18),
+    (5, 10, 5, 19),
+)
+
+
+def test_product_bound_on_factor_pairs_up_to_five_vertices(monkeypatch):
+    graphs = [(n, i, g) for n in range(2, 6) for i, g in enumerate(connected_graphs(n))]
+    assert len(graphs) == 30
+    pairs = {
+        (gn, i, hn, j): (cartesian_product(g, h), verify_product_bound(g, h))
+        for (gn, i, g), (hn, j, h) in combinations_with_replacement(graphs, 2)
+    }
+    assert len(pairs) == 465
+    assert Counter(report.aw for _, report in pairs.values()) == {3: 414, 4: 51}
+    assert tuple(key for key, (_, report) in pairs.items() if report.aw == 4) == PAIR_AW4
+    for key in PAIR_AW4:
+        g, report = pairs[key]
+        verdict = verify_certificate(emit_certificate(report.result, g))
+        assert verdict.verdict == VERDICT_WITNESS_VALID, (key, verdict.notes)
+    # The plain reference engine derives every product up to 12 vertices
+    # again, nonexistence proofs included.
+    monkeypatch.setattr(search, "_search", plain_engine._search)
+    small = [(g, report) for g, report in pairs.values() if g.n <= 12]
+    assert len(small) == 45
+    for g, report in small:
+        assert compute_aw(g, 3) == report.result, g.edges()

@@ -63,6 +63,15 @@ def test_graph_invariants_enforced():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(DisconnectedGraphError):
         Graph.from_edges(4, [(0, 1), (2, 3)])
+    for n, rows, message in (
+        (0, (), "at least one vertex"),
+        (2, ((1,),), "1 rows for n=2"),
+        (2, ((2,), ()), "neighbor 2 of 0 out of range"),
+        (3, ((2, 1), (0,), (0,)), "row 0 not strictly sorted"),
+        (2, ((1,), ()), "edge 0-1 missing its reverse"),
+    ):
+        with pytest.raises(GraphError, match=message):
+            Graph(n, rows)
 
 
 def test_parse_graph_round_trip():
@@ -97,6 +106,14 @@ def test_parse_graph_distinct_errors():
         parse_graph("3 3\n0 1\n0 1\n1 2\n")
     with pytest.raises(DisconnectedGraphError):
         parse_graph("3 1\n0 1\n")
+    for header in ("0 0", "3 -1"):
+        with pytest.raises(MalformedHeaderError, match="need n >= 1 and m >= 0"):
+            parse_graph(header + "\n")
+    with pytest.raises(MalformedEdgeError, match="two integers"):
+        parse_graph("2 1\n0 x\n")
+    # Enough edges to connect four vertices, but they close a triangle.
+    with pytest.raises(DisconnectedGraphError, match="graph file describes a disconnected graph"):
+        parse_graph("4 3\n0 1\n1 2\n0 2\n")
 
 
 def test_cartesian_product_ids_and_sizes():
@@ -145,6 +162,8 @@ def test_grid_coordinates_bijection_and_distance_formula():
 
 
 def test_grid_coordinates_validation():
+    with pytest.raises(GraphError):
+        GridCoordinates(0, 3)
     coords = GridCoordinates(2, 3)
     with pytest.raises(GraphError):
         coords.vertex(0, 1)
@@ -210,6 +229,8 @@ def test_induced_subgraph_relabels():
         induced_subgraph(build_path(3), [0, 2])
     with pytest.raises(GraphError):
         induced_subgraph(g, [])
+    with pytest.raises(GraphError, match="not within 0..2"):
+        induced_subgraph(build_path(3), [0, 5])
 
 
 def test_is_isometric_subgraph():

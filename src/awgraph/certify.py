@@ -68,15 +68,19 @@ def emit_certificate(result: AwResult, g: Graph) -> str:
     if result.n != g.n:
         raise ValueError(f"result is for {result.n} vertices but the graph has {g.n}")
     witness = result.witness
-    per_r = "\n".join(f"{r} {str(flag).lower()}" for r, flag in result.per_r)
     parts = [
         "GRAPH\n" + graph_to_text(g).rstrip("\n"),
         f"K\n{result.k}",
         f"CLAIMED_AW\n{result.aw}",
         "WITNESS\n" + (coloring_to_text(witness).rstrip("\n") if witness is not None else "none"),
-        "PER_R\n" + (per_r or "none"),
+        "PER_R\n" + ("\n".join(_per_r_lines(result.per_r)) or "none"),
     ]
     return "\n\n".join(parts) + "\n"
+
+
+def _per_r_lines(per_r) -> list[str]:
+    """The PER_R lines "<r> true|false" of per_r, in order."""
+    return [f"{r} {str(flag).lower()}" for r, flag in per_r]
 
 
 # ======================================================================
@@ -192,105 +196,97 @@ def parse_certificate(text: str) -> tuple[AwResult, Graph]:
 # ======================================================================
 
 
-def _per_r_text(per_r) -> str:
-    return "[" + ", ".join(f"{r} {str(flag).lower()}" for r, flag in per_r) + "]"
-
-
-def _consistency_notes(k: int, n: int, claimed: int, per_r, has_witness: bool) -> list[str]:
-    """Problems with the claimed value, PER_R and the witness's presence, given k and n.
-
-    Merging two color classes of a rainbow-free exact r-coloring gives one
-    with r - 1 colors, so existence only goes from true to false as r grows.
-    compute_aw scans r = k, k + 1, ..., n and stops at the first failure, so
-    the claimed aw alone fixes the only PER_R section the search can write
-    (per_r_verdicts).  It writes a witness exactly when aw - 1 >= 2 colors
-    make one worth checking.
-    """
-    low = min(k, n + 1)
-    if not low <= claimed <= n + 1:
-        return [f"claimed aw={claimed} outside the bounds {low}..n+1={n + 1}"]
-    problems = []
-    expected = per_r_verdicts(k, n, claimed)
-    if per_r != expected:
-        problems.append(
-            f"PER_R {_per_r_text(per_r)} differs from {_per_r_text(expected)},"
-            f" the only section claimed aw={claimed} allows"
-        )
-    if has_witness != (claimed > 2):
-        problems.append(
-            f"WITNESS {'present' if has_witness else 'none'} with claimed aw={claimed};"
-            " a witness is written exactly when aw >= 3"
-        )
-    return problems
-
-
 def verify_certificate(text: str) -> VerificationReport:
     """Classify certificate text: witness-valid, witness-invalid, inconsistent or malformed.
 
     Rebuilds distances and the AP table from the embedded graph and checks
-    the witness (dimension, color count claimed aw - 1, exactness,
-    rainbow-freeness) against them.  Nonexistence attestations are only
-    checked arithmetically, except that a graph without k-APs must claim
-    n + 1; a "valid" verdict therefore certifies the lower bound and the
-    internal consistency, not the exhaustive search itself.
+    the witness against them.  The first failing check decides the verdict:
+
+    1. the text parses (malformed);
+    2. the claim lies in min(k, n + 1)..n + 1, PER_R is the only section
+       the claim allows, and a witness is present exactly when aw >= 3
+       (inconsistent, naming every problem of this step);
+    3. the witness colors n vertices with claimed aw - 1 colors, exactly
+       (witness-invalid);
+    4. a graph without k-APs claims n + 1 (inconsistent);
+    5. the witness is rainbow-free (witness-invalid).
+
+    Step 2 is arithmetic.  Merging two color classes of a rainbow-free exact
+    r-coloring gives one with r - 1 colors, so existence only goes from true
+    to false as r grows.  compute_aw scans r = k, k + 1, ..., n and stops at
+    the first failure, so the claimed aw alone fixes PER_R (per_r_verdicts),
+    and it writes a witness exactly when aw - 1 >= 2 colors make one worth
+    checking.  Nonexistence attestations are not re-proved, so a "valid"
+    verdict certifies the lower bound and the internal consistency, not the
+    exhaustive search itself.
     """
     try:
         graph, k, claimed, witness, per_r = _parse_fields(text)
     except CertificateFormatError as exc:
         return VerificationReport(VERDICT_MALFORMED, (str(exc),))
-
     n = graph.n
     notes = [f"graph: n={n} m={graph.m}, k={k}, claimed aw={claimed}"]
-    problems = _consistency_notes(k, n, claimed, per_r, witness is not None)
-    if problems:
-        return VerificationReport(VERDICT_INCONSISTENT, tuple(notes + problems))
-    if any(not flag for _, flag in per_r):
-        notes.append(
-            "nonexistence flags are attestations of an exhausted search, not re-proved"
-        )
 
+    def report(verdict: str, *more: str) -> VerificationReport:
+        return VerificationReport(verdict, (*notes, *more))
+
+    low = min(k, n + 1)
+    if not low <= claimed <= n + 1:
+        return report(
+            VERDICT_INCONSISTENT, f"claimed aw={claimed} outside the bounds {low}..n+1={n + 1}"
+        )
+    problems = []
+    expected = per_r_verdicts(k, n, claimed)
+    if per_r != expected:
+        problems.append(
+            f"PER_R [{', '.join(_per_r_lines(per_r))}] differs from"
+            f" [{', '.join(_per_r_lines(expected))}],"
+            f" the only section claimed aw={claimed} allows"
+        )
+    if (witness is not None) != (claimed > 2):
+        problems.append(
+            f"WITNESS {'none' if witness is None else 'present'} with claimed aw={claimed};"
+            " a witness is written exactly when aw >= 3"
+        )
+    if problems:
+        return report(VERDICT_INCONSISTENT, *problems)
+    if any(not flag for _, flag in per_r):
+        notes.append("nonexistence flags are attestations of an exhausted search, not re-proved")
     if witness is None:
-        notes.append("witness absent: a 1-coloring certifies nothing to check")
-        return VerificationReport(VERDICT_WITNESS_VALID, tuple(notes))
+        return report(
+            VERDICT_WITNESS_VALID, "witness absent: a 1-coloring certifies nothing to check"
+        )
 
     values, r = witness
     if len(values) != n:
-        return VerificationReport(
-            VERDICT_WITNESS_INVALID,
-            tuple(notes + [f"witness colors {len(values)} vertices, graph has {n}"]),
+        return report(
+            VERDICT_WITNESS_INVALID, f"witness colors {len(values)} vertices, graph has {n}"
         )
     if r != claimed - 1:
-        return VerificationReport(
+        return report(
             VERDICT_WITNESS_INVALID,
-            tuple(notes + [f"witness declares r={r}, expected claimed aw - 1 = {claimed - 1}"]),
+            f"witness declares r={r}, expected claimed aw - 1 = {claimed - 1}",
         )
     try:
         Coloring(values, r)
     except ColoringError as exc:
-        return VerificationReport(
-            VERDICT_WITNESS_INVALID, tuple(notes + [f"witness is {exc}"])
-        )
+        return report(VERDICT_WITNESS_INVALID, f"witness is {exc}")
     table = enumerate_k_aps(all_pairs_distances(graph), k)
     # With k <= n every exact n-coloring is rainbow on any k-AP, so a graph
     # without k-APs has aw = n + 1 and nothing less.
     if not table.sets and claimed <= n:
-        return VerificationReport(
-            VERDICT_INCONSISTENT,
-            tuple(notes + [f"graph has no {k}-AP, so aw = n + 1 = {n + 1}, not {claimed}"]),
+        return report(
+            VERDICT_INCONSISTENT, f"graph has no {k}-AP, so aw = n + 1 = {n + 1}, not {claimed}"
         )
     rainbow = find_rainbow_ap(table, values)
     if rainbow is not None:
-        return VerificationReport(
+        return report(
             VERDICT_WITNESS_INVALID,
-            tuple(
-                notes
-                + [
-                    f"witness has a rainbow {k}-AP: vertices {list(rainbow.vertices)}"
-                    f" (ordering {list(rainbow.witness)}, d={rainbow.d})"
-                ]
-            ),
+            f"witness has a rainbow {k}-AP: vertices {list(rainbow.vertices)}"
+            f" (ordering {list(rainbow.witness)}, d={rainbow.d})",
         )
-    notes.append(
-        f"witness checked: exact {r}-coloring, rainbow-free against all {len(table.sets)} {k}-APs"
+    return report(
+        VERDICT_WITNESS_VALID,
+        f"witness checked: exact {r}-coloring,"
+        f" rainbow-free against all {len(table.sets)} {k}-APs",
     )
-    return VerificationReport(VERDICT_WITNESS_VALID, tuple(notes))

@@ -17,7 +17,7 @@ dimensions with ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .coloring import Coloring
 from .graphs import Graph, GraphError, build_path, cartesian_product
@@ -170,29 +170,20 @@ def connected_graphs(n: int) -> list[Graph]:
         raise GraphError(f"need n >= 1, got {n}")
     if n > 5:
         raise ValueError(f"canonical-form dedup is only supported up to n = 5, got {n}")
-    from itertools import permutations
-
-    if n == 1:
-        return [Graph.from_edges(1, [])]
     slots = list(combinations(range(n), 2))
     perms = list(permutations(range(n)))
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    out: list[tuple[int, tuple[tuple[int, int], ...], Graph]] = []
+    out = []
     for mask in range(1 << len(slots)):
-        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        if len(edges) < n - 1:
-            continue
-        canon = min(
-            tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        edges = tuple(slots[i] for i in range(len(slots)) if mask >> i & 1)
+        # Too few edges to connect, or some relabeling gives a smaller edge set.
+        if len(edges) < n - 1 or any(
+            tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges)) < edges
             for p in perms
-        )
-        if canon in seen:
+        ):
             continue
-        seen.add(canon)
         try:
-            g = Graph.from_edges(n, list(canon))
+            out.append(Graph.from_edges(n, edges))
         except GraphError:
             continue  # disconnected class
-        out.append((len(edges), canon, g))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [g for _, _, g in out]
+    out.sort(key=lambda g: (g.m, g.edges()))
+    return out

@@ -275,17 +275,8 @@ def find_polychromatic_path(g: Graph, coloring: Coloring) -> list[int]:
     if coloring.r < 3:
         raise ValueError(f"need at least 3 colors, got r={coloring.r}")
     cs = coloring.colors
-    edge = None
-    for u in range(g.n):
-        for v in g.adjacency[u]:
-            if u < v and cs[u] != cs[v]:
-                edge = (u, v)
-                break
-        if edge:
-            break
-    if edge is None:
-        raise ValueError("no bichromatic edge (coloring cannot be exact)")
-    u, v = edge
+    # A connected graph colored exactly with r >= 3 has a bichromatic edge; the first has u < v.
+    u, v = next((u, v) for u in range(g.n) for v in g.adjacency[u] if cs[u] != cs[v])
     dist = distances_from(g, v)
     banned = {cs[u], cs[v]}
     w = min(

@@ -199,26 +199,23 @@ def parse_certificate(text: str) -> tuple[AwResult, Graph]:
 def verify_certificate(text: str) -> VerificationReport:
     """Classify certificate text: witness-valid, witness-invalid, inconsistent or malformed.
 
-    Rebuilds distances and the AP table from the embedded graph and checks
-    the witness against them.  The first failing check decides the verdict:
+    Rebuilds distances and the AP table from the embedded graph.  The first
+    failing check decides the verdict:
 
     1. the text parses (malformed);
-    2. the claim lies in min(k, n + 1)..n + 1, PER_R is the only section
-       the claim allows, and a witness is present exactly when aw >= 3
-       (inconsistent, naming every problem of this step);
-    3. the witness colors n vertices with claimed aw - 1 colors, exactly
+    2. the claim lies in min(k, n + 1)..n + 1 and fixes PER_R and whether a
+       witness is present (inconsistent, naming each mismatch);
+    3. the witness colors n vertices exactly with claimed aw - 1 colors
        (witness-invalid);
     4. a graph without k-APs claims n + 1 (inconsistent);
     5. the witness is rainbow-free (witness-invalid).
 
-    Step 2 is arithmetic.  Merging two color classes of a rainbow-free exact
-    r-coloring gives one with r - 1 colors, so existence only goes from true
-    to false as r grows.  compute_aw scans r = k, k + 1, ..., n and stops at
-    the first failure, so the claimed aw alone fixes PER_R (per_r_verdicts),
-    and it writes a witness exactly when aw - 1 >= 2 colors make one worth
-    checking.  Nonexistence attestations are not re-proved, so a "valid"
-    verdict certifies the lower bound and the internal consistency, not the
-    exhaustive search itself.
+    Merging two color classes of a rainbow-free exact r-coloring gives one
+    with r - 1 colors, so existence only goes from true to false as r grows;
+    compute_aw stops at the first false, so the claim alone fixes PER_R
+    (per_r_verdicts).  Nonexistence attestations are not re-proved: a
+    "valid" verdict certifies the lower bound and the internal consistency,
+    not the exhaustive search itself.
     """
     try:
         graph, k, claimed, witness, per_r = _parse_fields(text)
@@ -245,7 +242,7 @@ def verify_certificate(text: str) -> VerificationReport:
         )
     if (witness is not None) != (claimed > 2):
         problems.append(
-            f"WITNESS {'none' if witness is None else 'present'} with claimed aw={claimed};"
+            f"WITNESS {'present' if witness is not None else 'none'} with claimed aw={claimed};"
             " a witness is written exactly when aw >= 3"
         )
     if problems:

@@ -39,6 +39,10 @@ def test_aw_short_circuit_output(capsys):
     assert "aw = 3\n" in out
     assert "per-r: none-examined\n" in out
     assert "witness: 1 2\n" in out
+    # aw - 1 = 1 colors leave nothing to show.
+    code, out, err = run(capsys, ["aw", "--graph", "path:2", "--k", "2"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("aw = 2\nper-r: 2=none\nwitness: none\n")
 
 
 def test_aw_writes_verifiable_certificate(capsys, tmp_path):
@@ -293,12 +297,6 @@ def test_usage_error_messages(capsys, monkeypatch):
         "",
         "error: AWGRAPH_BUDGET must be positive, got 0\n",
     )
-
-
-def test_aw_without_witness(capsys):
-    code, out, err = run(capsys, ["aw", "--graph", "path:2", "--k", "2"])
-    assert (code, err) == (EXIT_OK, "")
-    assert out.endswith("aw = 2\nper-r: 2=none\nwitness: none\n")
 
 
 def test_budget_exit_codes(capsys, monkeypatch):

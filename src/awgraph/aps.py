@@ -13,6 +13,9 @@ The ordering is fixed by one rule per k:
 - k = 3: the smallest member equidistant from the other two goes in the
   middle, with the two ends ascending;
 - every other k: the lexicographically least ordering with a constant step.
+
+At k = 3, count_3aps_if_rainbow_free checks a coloring for a rainbow AP,
+and counts the APs, without building a table.
 """
 
 from __future__ import annotations
@@ -190,6 +193,52 @@ def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
         if all(dist[tup[i]][tup[i + 1]] == d for i in range(1, k - 1)):
             found.add(tuple(sorted(tup)))
     return ApTable(k, dist, tuple(sorted(found)))
+
+
+def count_3aps_if_rainbow_free(dist: tuple[tuple[int, ...], ...], colors) -> int | None:
+    """The number of 3-APs of dist, or None when colors makes one of them rainbow.
+
+    Each vertex b gets its distance rings as bitmasks, ring[d] holding the
+    vertices at distance d from b.  Every pair {a, c} of one ring with d >= 1
+    is a 3-AP with middle b, and a rainbow one exactly when a, c and b carry
+    three colors: so some AP is rainbow iff, for some b and d, the members of
+    ring[d] not colored like b carry two or more colors.
+
+    A set with two middles has all three pairwise distances equal, and then
+    all three members are middles; so a set has one middle or three.  The
+    pairs summed over every ring count the first kind once and the second,
+    T sets, three times: the count is that sum minus 2T.  A set of the
+    second kind is found from each of its three pairs {a, b} as a common
+    member of the rings at d(a, b) around a and around b.
+    """
+    n = len(dist)
+    bit = [1 << v for v in range(n)]
+    classes: dict = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | bit[v]
+    rings = []
+    pairs = 0
+    for b, row in enumerate(dist):
+        ring = [0] * (max(row) + 1)
+        for v, d in enumerate(row):
+            ring[d] |= bit[v]
+        other = ~classes[colors[b]]
+        for members in ring[1:]:
+            rest = members & other
+            if rest:
+                low = (rest & -rest).bit_length() - 1
+                if rest & ~classes[colors[low]]:
+                    return None
+            size = members.bit_count()
+            pairs += size * (size - 1) // 2
+        rings.append(ring)
+    equilateral = 0
+    for a, row in enumerate(dist):
+        ring_a = rings[a]
+        for b in range(a + 1, n):
+            d = row[b]
+            equilateral += (ring_a[d] & rings[b][d]).bit_count()
+    return pairs - 2 * (equilateral // 3)
 
 
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:

@@ -4,8 +4,11 @@ A certificate packages a claimed aw value with the evidence a search
 produced: the graph, k, the per-r existence flags, and the extremal witness
 coloring.  emit_certificate(result, g) renders a compute_aw result and its
 graph, and parse_certificate(text) returns that (result, g) pair again.  The
-checker re-derives distances and the AP table from the embedded graph text
-and validates the witness on its own; it never runs a coloring search.
+checker re-derives distances from the embedded graph text and validates the
+witness on its own; it never runs a coloring search.  For k = 3 it counts
+the APs and tests them for a rainbow one from distance rings, and builds
+the AP table only to name a rainbow AP; for every other k it builds the
+table and scans it.
 Nonexistence flags ("no rainbow-free exact r-coloring") are attestations of
 an exhausted search and are not re-proved.  The claimed aw fixes PER_R and
 whether a witness is present, as compute_aw writes them: PER_R holds
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aps import enumerate_k_aps, find_rainbow_ap
+from .aps import count_3aps_if_rainbow_free, enumerate_k_aps, find_rainbow_ap
 from .coloring import Coloring, ColoringError, coloring_to_text, parse_coloring_fields
 from .errors import AwgraphError
 from .graphs import Graph, GraphError, all_pairs_distances, graph_to_text, parse_graph
@@ -199,8 +202,9 @@ def parse_certificate(text: str) -> tuple[AwResult, Graph]:
 def verify_certificate(text: str) -> VerificationReport:
     """Classify certificate text: witness-valid, witness-invalid, inconsistent or malformed.
 
-    Rebuilds distances and the AP table from the embedded graph.  The first
-    failing check decides the verdict:
+    Rebuilds distances from the embedded graph, and the AP table for
+    k != 3 or to name a rainbow 3-AP.  The first failing check decides the
+    verdict:
 
     1. the text parses (malformed);
     2. the claim lies in min(k, n + 1)..n + 1 and fixes PER_R and whether a
@@ -268,14 +272,20 @@ def verify_certificate(text: str) -> VerificationReport:
         Coloring(values, r)
     except ColoringError as exc:
         return report(VERDICT_WITNESS_INVALID, f"witness is {exc}")
-    table = enumerate_k_aps(all_pairs_distances(graph), k)
+    dist = all_pairs_distances(graph)
+    # At k = 3 the table is built only to name a rainbow AP.
+    count = count_3aps_if_rainbow_free(dist, values) if k == 3 else None
+    rainbow = None
+    if count is None:
+        table = enumerate_k_aps(dist, k)
+        count = len(table.sets)
+        rainbow = find_rainbow_ap(table, values)
     # With k <= n every exact n-coloring is rainbow on any k-AP, so a graph
     # without k-APs has aw = n + 1 and nothing less.
-    if not table.sets and claimed <= n:
+    if not count and claimed <= n:
         return report(
             VERDICT_INCONSISTENT, f"graph has no {k}-AP, so aw = n + 1 = {n + 1}, not {claimed}"
         )
-    rainbow = find_rainbow_ap(table, values)
     if rainbow is not None:
         return report(
             VERDICT_WITNESS_INVALID,
@@ -285,5 +295,5 @@ def verify_certificate(text: str) -> VerificationReport:
     return report(
         VERDICT_WITNESS_VALID,
         f"witness checked: exact {r}-coloring,"
-        f" rainbow-free against all {len(table.sets)} {k}-APs",
+        f" rainbow-free against all {count} {k}-APs",
     )

@@ -1,23 +1,31 @@
 """AP enumeration against the brute-force oracle, plus frozen small cases."""
 
 import inspect
+import random
 import sys
+from collections import Counter
 from itertools import combinations, permutations
 
+import networkx
 import pytest
 
 import awgraph.certify
 from awgraph import (
     VERDICT_WITNESS_VALID,
+    AwResult,
     BudgetExceededError,
     Coloring,
+    Graph,
     all_pairs_distances,
     brute_force_k_aps,
+    build_complete,
     build_cycle,
     build_grid,
     build_path,
     build_star,
     compute_aw,
+    construct_two_red_coloring,
+    count_3aps_if_rainbow_free,
     emit_certificate,
     enumerate_k_aps,
     enumerate_rainbow_free_colorings,
@@ -185,16 +193,8 @@ def test_find_rainbow_ap():
     assert find_rainbow_ap(table, (1, 1, 1, 1, 1, 1)) is None
 
 
-def test_search_and_clean_checks_do_not_build_progressions(monkeypatch):
-    # Only a reported AP needs an ordering: the search and a check that finds
-    # no rainbow AP read the vertex sets and leave table.aps unbuilt.
-    g, _ = build_grid(2, 3)
-    table = enumerate_k_aps(all_pairs_distances(g), 3)
-    assert exists_rainbow_free_coloring(table, 3) is not None
-    assert enumerate_rainbow_free_colorings(table, 3)
-    assert find_rainbow_ap(table, (1, 1, 2, 3, 1, 1)) is None
-    assert "aps" not in vars(table)
-
+def _capture_tables(monkeypatch):
+    """The tables verify_certificate builds from now on, in build order."""
     built = []
 
     def capture(dist, k):
@@ -202,7 +202,95 @@ def test_search_and_clean_checks_do_not_build_progressions(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(awgraph.certify, "enumerate_k_aps", capture)
+    return built
+
+
+def test_search_and_clean_checks_do_not_build_progressions(monkeypatch):
+    # Only a reported AP needs an ordering: the search and a check that finds
+    # no rainbow AP read the vertex sets and leave table.aps unbuilt.  A
+    # clean k = 3 certificate is checked from distance rings, with no table.
+    g, _ = build_grid(2, 3)
+    table = enumerate_k_aps(all_pairs_distances(g), 3)
+    assert exists_rainbow_free_coloring(table, 3) is not None
+    assert enumerate_rainbow_free_colorings(table, 3)
+    assert find_rainbow_ap(table, (1, 1, 2, 3, 1, 1)) is None
+    assert "aps" not in vars(table)
+
+    built = _capture_tables(monkeypatch)
     report = verify_certificate(emit_certificate(compute_aw(g, 3), g))
     assert report.verdict == VERDICT_WITNESS_VALID, report.notes
-    assert len(built) == 1 and built[0].sets
+    assert built == []
+
+    report = verify_certificate(emit_certificate(compute_aw(g, 4), g))
+    assert report.verdict == VERDICT_WITNESS_VALID, report.notes
+    assert len(built) == 1 and built[0].k == 4 and built[0].sets
     assert "aps" not in vars(built[0])
+
+
+def test_large_grid_certificate_counts_every_progression(monkeypatch):
+    # Grid 16x16 has 419,192 3-APs; the note counts them without a table.
+    g, _ = build_grid(16, 16)
+    witness = construct_two_red_coloring(16, 16)
+    text = emit_certificate(AwResult(4, 3, g.n, ((3, True), (4, False)), witness), g)
+    built = _capture_tables(monkeypatch)
+    report = verify_certificate(text)
+    assert built == []
+    count = len(enumerate_k_aps(all_pairs_distances(g), 3).sets)
+    assert count == 419_192
+    assert report.verdict == VERDICT_WITNESS_VALID, report.notes
+    assert report.notes[-1] == (
+        f"witness checked: exact 3-coloring, rainbow-free against all {count} 3-APs"
+    )
+
+
+def _ring_check_graphs():
+    """Every connected atlas graph on 3-7 vertices, every grid up to 8x8, K_3..K_9."""
+    graphs = []
+    for i, ag in enumerate(networkx.graph_atlas_g()):
+        if 3 <= ag.number_of_nodes() <= 7 and networkx.is_connected(ag):
+            edges = sorted(tuple(sorted(e)) for e in ag.edges())
+            graphs.append((f"atlas:{i}", Graph.from_edges(ag.number_of_nodes(), edges)))
+    graphs += [
+        (f"grid:{m}x{n}", build_grid(m, n)[0])
+        for m in range(1, 9)
+        for n in range(m, 9)
+        if m * n >= 3
+    ]
+    return graphs + [(f"complete:{n}", build_complete(n)) for n in range(3, 10)]
+
+
+def test_ring_count_and_verdict_match_the_oracle():
+    # count_3aps_if_rainbow_free against brute_force_k_aps and a direct
+    # rainbow scan of its sets.  Every triple of K_n has three equal
+    # distances, so the count's correction for sets with three middles is
+    # exercised there.  Each graph gets seeded colorings with 1-4 colors:
+    # uniform ones, mostly rainbow with 3 or more colors, and ones that give
+    # all but a few vertices color 1.  Where the search finds a rainbow-free
+    # 3-coloring, it is checked too, with its colors permuted, and so is the
+    # near miss that recolors one of its vertices.
+    rng = random.Random(14)
+    outcomes = Counter()
+    for name, g in _ring_check_graphs():
+        dist = all_pairs_distances(g)
+        sets = brute_force_k_aps(dist, 3).sets
+        colorings = []
+        for r in range(1, 5):
+            colorings.append([rng.randint(1, r) for _ in range(g.n)])
+            sparse = [1] * g.n
+            for c in range(2, r + 1):
+                sparse[rng.randrange(g.n)] = c
+            colorings.append(sparse)
+        found = exists_rainbow_free_coloring(enumerate_k_aps(dist, 3), 3)
+        if found is not None:
+            relabel = rng.sample(range(1, 4), 3)
+            free = [relabel[c - 1] for c in found.colors]
+            near = list(free)
+            near[rng.randrange(g.n)] = rng.randint(1, 3)
+            colorings += [free, near]
+        for colors in colorings:
+            rainbow = any(len({colors[v] for v in vs}) == 3 for vs in sets)
+            got = count_3aps_if_rainbow_free(dist, colors)
+            assert got == (None if rainbow else len(sets)), f"{name} {colors}"
+            outcomes[len(set(colors)) >= 3, rainbow] += 1
+    # Both verdicts occur with three or more colors, so neither is vacuous.
+    assert outcomes[True, True] > 100 and outcomes[True, False] > 100, outcomes

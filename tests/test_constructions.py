@@ -170,9 +170,30 @@ def test_connected_graphs_catalog():
         for j in range(i + 1, len(four)):
             assert not _isomorphic(four[i], four[j]), (i, j)
     with pytest.raises(ValueError):
-        connected_graphs(6)
+        connected_graphs(7)
     with pytest.raises(GraphError):
         connected_graphs(0)
+
+
+def test_connected_graphs_on_six_vertices_match_the_atlas():
+    # The 112 connected 6-vertex graphs of the networkx atlas, matched one to
+    # one by isomorphism.  Both lists run by edge count; within one edge
+    # count the atlas orders by degree sequence, the catalog by edge set.
+    atlas = [
+        ag
+        for ag in networkx.graph_atlas_g()
+        if ag.number_of_nodes() == 6 and networkx.is_connected(ag)
+    ]
+    six = connected_graphs(6)
+    assert len(six) == len(atlas) == 112
+    assert [g.m for g in six] == [ag.number_of_edges() for ag in atlas]
+    assert [(g.m, g.edges()) for g in six] == sorted((g.m, g.edges()) for g in six)
+    unmatched = list(atlas)
+    for g in six:
+        nx_g = networkx.Graph(g.edges())
+        matches = [ag for ag in unmatched if networkx.is_isomorphic(nx_g, ag)]
+        assert len(matches) == 1, g.edges()
+        unmatched.remove(matches[0])
 
 
 def test_product_bound_path2_through_seven_vertices():

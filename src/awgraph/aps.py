@@ -14,8 +14,8 @@ The ordering is fixed by one rule per k:
   middle, with the two ends ascending;
 - every other k: the lexicographically least ordering with a constant step.
 
-At k = 3, count_3aps_if_rainbow_free checks a coloring for a rainbow AP,
-and counts the APs, without building a table.
+At k = 3, scan_3aps counts the APs and names the first rainbow one under
+a coloring, the one find_rainbow_ap would name, without building a table.
 """
 
 from __future__ import annotations
@@ -195,14 +195,23 @@ def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     return ApTable(k, dist, tuple(sorted(found)))
 
 
-def count_3aps_if_rainbow_free(dist: tuple[tuple[int, ...], ...], colors) -> int | None:
-    """The number of 3-APs of dist, or None when colors makes one of them rainbow.
+def scan_3aps(
+    dist: tuple[tuple[int, ...], ...], colors
+) -> tuple[int, ArithmeticProgression | None]:
+    """(number of 3-APs of dist, first rainbow 3-AP under colors in table order or None).
 
     Each vertex b gets its distance rings as bitmasks, ring[d] holding the
     vertices at distance d from b.  Every pair {a, c} of one ring with d >= 1
     is a 3-AP with middle b, and a rainbow one exactly when a, c and b carry
     three colors: so some AP is rainbow iff, for some b and d, the members of
     ring[d] not colored like b carry two or more colors.
+
+    Such a ring names one rainbow AP: its lowest member x not colored like b
+    and its lowest member y colored like neither b nor x, with b.  A rainbow
+    set {b, p, q} with middle b lies in that ring, and x <= p, y <= q for
+    p < q, so the ring's set is no larger than it.  The least set over all
+    rings is therefore the first rainbow set in enumerate_k_aps order, and
+    it is returned as the table would build it.
 
     A set with two middles has all three pairwise distances equal, and then
     all three members are middles; so a set has one middle or three.  The
@@ -218,6 +227,7 @@ def count_3aps_if_rainbow_free(dist: tuple[tuple[int, ...], ...], colors) -> int
         classes[c] = classes.get(c, 0) | bit[v]
     rings = []
     pairs = 0
+    first = None
     for b, row in enumerate(dist):
         ring = [0] * (max(row) + 1)
         for v, d in enumerate(row):
@@ -226,9 +236,12 @@ def count_3aps_if_rainbow_free(dist: tuple[tuple[int, ...], ...], colors) -> int
         for members in ring[1:]:
             rest = members & other
             if rest:
-                low = (rest & -rest).bit_length() - 1
-                if rest & ~classes[colors[low]]:
-                    return None
+                x = (rest & -rest).bit_length() - 1
+                third = rest & ~classes[colors[x]]
+                if third:
+                    vs = tuple(sorted((b, x, (third & -third).bit_length() - 1)))
+                    if first is None or vs < first:
+                        first = vs
             size = members.bit_count()
             pairs += size * (size - 1) // 2
         rings.append(ring)
@@ -238,7 +251,11 @@ def count_3aps_if_rainbow_free(dist: tuple[tuple[int, ...], ...], colors) -> int
         for b in range(a + 1, n):
             d = row[b]
             equilateral += (ring_a[d] & rings[b][d]).bit_count()
-    return pairs - 2 * (equilateral // 3)
+    count = pairs - 2 * (equilateral // 3)
+    if first is None:
+        return count, None
+    w = _middle_first(first, dist)
+    return count, ArithmeticProgression(first, w, dist[w[0]][w[1]])
 
 
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:

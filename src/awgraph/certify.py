@@ -5,10 +5,10 @@ produced: the graph, k, the per-r existence flags, and the extremal witness
 coloring.  emit_certificate(result, g) renders a compute_aw result and its
 graph, and parse_certificate(text) returns that (result, g) pair again.  The
 checker re-derives distances from the embedded graph text and validates the
-witness on its own; it never runs a coloring search.  For k = 3 it counts
-the APs and tests them for a rainbow one from distance rings, and builds
-the AP table only to name a rainbow AP; for every other k it builds the
-table and scans it.
+witness on its own; it never runs a coloring search.  check_coloring,
+which verify_certificate and the CLI's verify and construct checks all
+call, counts a graph's k-APs and names the first rainbow one: from distance
+rings at k = 3 (scan_3aps), with no AP table, and from the table otherwise.
 Nonexistence flags ("no rainbow-free exact r-coloring") are attestations of
 an exhausted search and are not re-proved.  The claimed aw fixes PER_R and
 whether a witness is present, as compute_aw writes them: PER_R holds
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aps import count_3aps_if_rainbow_free, enumerate_k_aps, find_rainbow_ap
+from .aps import ArithmeticProgression, enumerate_k_aps, find_rainbow_ap, scan_3aps
 from .coloring import Coloring, ColoringError, coloring_to_text, parse_coloring_fields
 from .errors import AwgraphError
 from .graphs import Graph, GraphError, all_pairs_distances, graph_to_text, parse_graph
@@ -199,12 +199,24 @@ def parse_certificate(text: str) -> tuple[AwResult, Graph]:
 # ======================================================================
 
 
+def check_coloring(dist, k: int, colors) -> tuple[int, ArithmeticProgression | None]:
+    """(number of k-APs, first rainbow k-AP in table order or None) for colors on dist.
+
+    The one place that picks the method: distance rings at k = 3, the AP
+    table and find_rainbow_ap for every other k.  Raises ValueError for k < 2.
+    """
+    if k == 3:
+        return scan_3aps(dist, colors)
+    table = enumerate_k_aps(dist, k)
+    return len(table.sets), find_rainbow_ap(table, colors)
+
+
 def verify_certificate(text: str) -> VerificationReport:
     """Classify certificate text: witness-valid, witness-invalid, inconsistent or malformed.
 
-    Rebuilds distances from the embedded graph, and the AP table for
-    k != 3 or to name a rainbow 3-AP.  The first failing check decides the
-    verdict:
+    Rebuilds distances from the embedded graph and checks the witness with
+    check_coloring, so an AP table is built only for k != 3.  The first
+    failing check decides the verdict:
 
     1. the text parses (malformed);
     2. the claim lies in min(k, n + 1)..n + 1 and fixes PER_R and whether a
@@ -272,14 +284,7 @@ def verify_certificate(text: str) -> VerificationReport:
         Coloring(values, r)
     except ColoringError as exc:
         return report(VERDICT_WITNESS_INVALID, f"witness is {exc}")
-    dist = all_pairs_distances(graph)
-    # At k = 3 the table is built only to name a rainbow AP.
-    count = count_3aps_if_rainbow_free(dist, values) if k == 3 else None
-    rainbow = None
-    if count is None:
-        table = enumerate_k_aps(dist, k)
-        count = len(table.sets)
-        rainbow = find_rainbow_ap(table, values)
+    count, rainbow = check_coloring(all_pairs_distances(graph), k, values)
     # With k <= n every exact n-coloring is rainbow on any k-AP, so a graph
     # without k-APs has aw = n + 1 and nothing less.
     if not count and claimed <= n:

@@ -20,8 +20,8 @@ import math
 import os
 import sys
 
-from .aps import count_3aps_if_rainbow_free, enumerate_k_aps, find_rainbow_ap
-from .certify import emit_certificate
+from .aps import enumerate_k_aps
+from .certify import check_coloring, emit_certificate
 from .coloring import coloring_lines, coloring_to_text, parse_coloring
 from .constructions import GRID_COLORINGS, grid_formula_table, verify_product_bound
 from .errors import AwgraphError, BudgetExceededError
@@ -175,18 +175,6 @@ def _coords_suffix(coords: GridCoordinates | None, vertices) -> str:
     )
 
 
-def _rainbow_ap(g: Graph, k: int, colors):
-    """The first rainbow k-AP of g under colors, in table order, or None.
-
-    At k = 3 the distance rings rule a rainbow AP out without the table,
-    which is then built only to name one.
-    """
-    dist = all_pairs_distances(g)
-    if k == 3 and count_3aps_if_rainbow_free(dist, colors) is not None:
-        return None
-    return find_rainbow_ap(enumerate_k_aps(dist, k), colors)
-
-
 def _print_graph_line(spec: str, g: Graph) -> None:
     print(f"graph {spec} n={g.n} m={g.m}")
 
@@ -227,7 +215,7 @@ def cmd_verify(args) -> int:
         raise SpecError(
             f"coloring has {coloring.n} vertices but the graph has {g.n}"
         )
-    ap = _rainbow_ap(g, args.k, coloring.colors)
+    _, ap = check_coloring(all_pairs_distances(g), args.k, coloring.colors)
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
     print(f"coloring: r={coloring.r} {_coloring_line(coloring)}")
@@ -278,7 +266,7 @@ def cmd_table(args) -> int:
 def cmd_construct(args) -> int:
     coloring = GRID_COLORINGS[args.name](args.m, args.n)
     g, _ = build_grid(args.m, args.n)
-    ap = _rainbow_ap(g, 3, coloring.colors)
+    _, ap = check_coloring(all_pairs_distances(g), 3, coloring.colors)
     print(f"construction: {args.name} m={args.m} n={args.n}")
     if ap is not None:
         print(

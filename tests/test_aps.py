@@ -10,7 +10,9 @@ import networkx
 import pytest
 
 import awgraph.certify
+import awgraph.cli
 from awgraph import (
+    VERDICT_WITNESS_INVALID,
     VERDICT_WITNESS_VALID,
     AwResult,
     BudgetExceededError,
@@ -25,12 +27,12 @@ from awgraph import (
     build_star,
     compute_aw,
     construct_two_red_coloring,
-    count_3aps_if_rainbow_free,
     emit_certificate,
     enumerate_k_aps,
     enumerate_rainbow_free_colorings,
     exists_rainbow_free_coloring,
     find_rainbow_ap,
+    scan_3aps,
     verify_certificate,
 )
 from prop_helpers import small_corpus
@@ -194,7 +196,7 @@ def test_find_rainbow_ap():
 
 
 def _capture_tables(monkeypatch):
-    """The tables verify_certificate builds from now on, in build order."""
+    """The tables verify_certificate and the CLI build from now on, in build order."""
     built = []
 
     def capture(dist, k):
@@ -202,13 +204,15 @@ def _capture_tables(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(awgraph.certify, "enumerate_k_aps", capture)
+    monkeypatch.setattr(awgraph.cli, "enumerate_k_aps", capture)
     return built
 
 
-def test_search_and_clean_checks_do_not_build_progressions(monkeypatch):
+def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, tmp_path):
     # Only a reported AP needs an ordering: the search and a check that finds
     # no rainbow AP read the vertex sets and leave table.aps unbuilt.  A
-    # clean k = 3 certificate is checked from distance rings, with no table.
+    # k = 3 coloring is checked from distance rings, with no table, whether
+    # or not it has a rainbow AP.
     g, _ = build_grid(2, 3)
     table = enumerate_k_aps(all_pairs_distances(g), 3)
     assert exists_rainbow_free_coloring(table, 3) is not None
@@ -219,6 +223,25 @@ def test_search_and_clean_checks_do_not_build_progressions(monkeypatch):
     built = _capture_tables(monkeypatch)
     report = verify_certificate(emit_certificate(compute_aw(g, 3), g))
     assert report.verdict == VERDICT_WITNESS_VALID, report.notes
+    assert built == []
+
+    bad = Coloring((1, 1, 2, 3, 2, 1), 3)
+    report = verify_certificate(
+        emit_certificate(AwResult(4, 3, g.n, ((3, True), (4, False)), bad), g)
+    )
+    assert report.verdict == VERDICT_WITNESS_INVALID, report.notes
+    assert report.notes[-1] == (
+        "witness has a rainbow 3-AP: vertices [0, 3, 4] (ordering [0, 3, 4], d=1)"
+    )
+    path = tmp_path / "bad.coloring"
+    path.write_text("6 3\n1 1 2 3 2 1\n", encoding="utf-8")
+    assert awgraph.cli.main(
+        ["verify", "--graph", "grid:2x3", "--k", "3", "--coloring", str(path)]
+    ) == 0
+    assert capsys.readouterr().out.endswith(
+        "result: rainbow-ap vertices=0,3,4 ordering=0,3,4 d=1"
+        " coords=(1,1),(2,1),(2,2)\n"
+    )
     assert built == []
 
     report = verify_certificate(emit_certificate(compute_aw(g, 4), g))
@@ -260,19 +283,21 @@ def _ring_check_graphs():
 
 
 def test_ring_count_and_verdict_match_the_oracle():
-    # count_3aps_if_rainbow_free against brute_force_k_aps and a direct
-    # rainbow scan of its sets.  Every triple of K_n has three equal
-    # distances, so the count's correction for sets with three middles is
-    # exercised there.  Each graph gets seeded colorings with 1-4 colors:
-    # uniform ones, mostly rainbow with 3 or more colors, and ones that give
-    # all but a few vertices color 1.  Where the search finds a rainbow-free
-    # 3-coloring, it is checked too, with its colors permuted, and so is the
-    # near miss that recolors one of its vertices.
+    # scan_3aps against brute_force_k_aps: the count, and the rainbow AP
+    # that find_rainbow_ap names first in the oracle's table, ordering and
+    # d included.  Every triple of K_n has three equal distances, so the
+    # count's correction for sets with three middles, and the middle-first
+    # ordering of such a set, are exercised there.  Each graph gets seeded
+    # colorings with 1-4 colors: uniform ones, mostly rainbow with 3 or more
+    # colors, and ones that give all but a few vertices color 1.  Where the
+    # search finds a rainbow-free 3-coloring, it is checked too, with its
+    # colors permuted, and so is the near miss that recolors one of its
+    # vertices.
     rng = random.Random(14)
     outcomes = Counter()
     for name, g in _ring_check_graphs():
         dist = all_pairs_distances(g)
-        sets = brute_force_k_aps(dist, 3).sets
+        oracle = brute_force_k_aps(dist, 3)
         colorings = []
         for r in range(1, 5):
             colorings.append([rng.randint(1, r) for _ in range(g.n)])
@@ -288,9 +313,8 @@ def test_ring_count_and_verdict_match_the_oracle():
             near[rng.randrange(g.n)] = rng.randint(1, 3)
             colorings += [free, near]
         for colors in colorings:
-            rainbow = any(len({colors[v] for v in vs}) == 3 for vs in sets)
-            got = count_3aps_if_rainbow_free(dist, colors)
-            assert got == (None if rainbow else len(sets)), f"{name} {colors}"
-            outcomes[len(set(colors)) >= 3, rainbow] += 1
+            expected = (len(oracle.sets), find_rainbow_ap(oracle, colors))
+            assert scan_3aps(dist, colors) == expected, f"{name} {colors}"
+            outcomes[len(set(colors)) >= 3, expected[1] is not None] += 1
     # Both verdicts occur with three or more colors, so neither is vacuous.
     assert outcomes[True, True] > 100 and outcomes[True, False] > 100, outcomes

@@ -4,11 +4,13 @@ import errno
 import hashlib
 import os
 
-from awgraph import graph_to_text, build_path, parse_coloring, verify_certificate
+from awgraph import Coloring, graph_to_text, build_path, parse_coloring, verify_certificate
 from awgraph.cli import (
     EXIT_BUDGET,
+    EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    GRID_COLORINGS,
     main,
     parse_graph_spec,
 )
@@ -189,6 +191,23 @@ def test_construct_verify_round_trip(capsys, tmp_path):
     assert out.endswith("result: rainbow-free\n")
 
 
+def test_construct_self_check_failure_writes_nothing(capsys, monkeypatch, tmp_path):
+    monkeypatch.setitem(
+        GRID_COLORINGS, "corner", lambda m, n: Coloring((1, 2, 3, 3, 3, 3), 3)
+    )
+    out_path = tmp_path / "X"
+    code, out, _ = run(
+        capsys,
+        ["construct", "--name", "corner", "--m", "2", "--n", "3", "--out", str(out_path)],
+    )
+    assert code == EXIT_FAIL
+    assert out == (
+        "construction: corner m=2 n=3\n"
+        "self-check: FAILED rainbow-ap vertices=0,1,2 d=1\n"
+    )
+    assert not out_path.exists()
+
+
 def test_verify_reports_rainbow_ap_with_coords(capsys, tmp_path):
     path = tmp_path / "bad.coloring"
     path.write_text("6 3\n1 1 2 3 2 1\n", encoding="utf-8")
@@ -203,14 +222,20 @@ def test_verify_reports_rainbow_ap_with_coords(capsys, tmp_path):
 
 
 def test_verify_without_grid_coords(capsys, tmp_path):
-    path = tmp_path / "c6.coloring"
-    path.write_text("6 3\n1 2 3 1 2 3\n", encoding="utf-8")
-    code, out, _ = run(
-        capsys, ["verify", "--graph", "cycle:6", "--k", "3", "--coloring", str(path)]
-    )
-    assert code == EXIT_OK
-    assert "result: rainbow-ap" in out
-    assert "coords=" not in out
+    # In K_4 every member of a 3-AP is a middle; the smallest one goes in
+    # the middle, so the ordering is not the lexicographically least.
+    for spec, text, result in [
+        ("cycle:6", "6 3\n1 2 3 1 2 3\n", "result: rainbow-ap"),
+        ("complete:4", "4 3\n1 2 3 1\n", "result: rainbow-ap vertices=0,1,2 ordering=1,0,2 d=1\n"),
+    ]:
+        path = tmp_path / "input.coloring"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(
+            capsys, ["verify", "--graph", spec, "--k", "3", "--coloring", str(path)]
+        )
+        assert code == EXIT_OK
+        assert result in out
+        assert "coords=" not in out
 
 
 def test_file_spec_and_nesting(capsys, tmp_path):

@@ -32,10 +32,7 @@ from .coloring import (
     Coloring,
     ColoringError,
     ColoringFormatError,
-    canonicalize,
     coloring_to_text,
-    colors_used,
-    is_canonical,
     parse_coloring,
 )
 from .constructions import (
@@ -46,7 +43,6 @@ from .constructions import (
     GridTableRow,
     ProductBoundReport,
     closed_form_aw_grid,
-    connected_graphs,
     construct_corner_coloring,
     construct_two_red_coloring,
     grid_formula_table,
@@ -72,9 +68,6 @@ from .graphs import (
     build_star,
     cartesian_product,
     graph_to_text,
-    induced_subgraph,
-    is_isometric_subgraph,
-    layer_vertices,
     parse_graph,
 )
 from .search import (
@@ -83,7 +76,6 @@ from .search import (
     compute_aw,
     enumerate_rainbow_free_colorings,
     exists_rainbow_free_coloring,
-    find_polychromatic_path,
 )
 
 __version__ = "0.1.0"
@@ -127,28 +119,20 @@ __all__ = [
     "build_grid",
     "build_path",
     "build_star",
-    "canonicalize",
     "cartesian_product",
     "check_coloring",
     "closed_form_aw_grid",
     "coloring_to_text",
-    "colors_used",
     "compute_aw",
-    "connected_graphs",
     "construct_corner_coloring",
     "construct_two_red_coloring",
     "emit_certificate",
     "enumerate_k_aps",
     "enumerate_rainbow_free_colorings",
     "exists_rainbow_free_coloring",
-    "find_polychromatic_path",
     "find_rainbow_ap",
     "graph_to_text",
     "grid_formula_table",
-    "induced_subgraph",
-    "is_canonical",
-    "is_isometric_subgraph",
-    "layer_vertices",
     "parse_certificate",
     "parse_coloring",
     "parse_graph",

@@ -50,40 +50,6 @@ class Coloring:
         return len(self.colors)
 
 
-def is_canonical(coloring: Coloring) -> bool:
-    """True iff the coloring is in restricted-growth form."""
-    top = 0
-    for c in coloring.colors:
-        if c > top + 1:
-            return False
-        if c > top:
-            top = c
-    return True
-
-
-def canonicalize(colors) -> Coloring:
-    """Relabel colors by first appearance, yielding the canonical class member."""
-    relabel: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in relabel:
-            relabel[c] = len(relabel) + 1
-        out.append(relabel[c])
-    return Coloring(tuple(out), len(relabel))
-
-
-def colors_used(coloring: Coloring, vertices) -> set[int]:
-    """Set of colors appearing on the given vertices."""
-    cs = coloring.colors
-    n = coloring.n
-    out = set()
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ColoringError(f"vertex {v} outside 0..{n - 1}")
-        out.add(cs[v])
-    return out
-
-
 def parse_coloring_fields(text: str) -> tuple[tuple[int, ...], int]:
     """Structural parse of the coloring file format: the colors and r.
 

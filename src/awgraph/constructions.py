@@ -17,10 +17,9 @@ dimensions with ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from .coloring import Coloring
-from .graphs import Graph, GraphError, build_path, cartesian_product
+from .graphs import Graph, build_grid, cartesian_product
 from .search import DEFAULT_NODE_BUDGET, AwResult, compute_aw
 
 RED = 1
@@ -116,7 +115,7 @@ def grid_formula_table(
         if m * m > max_cells:
             break
         for n in range(m, max_cells // m + 1):
-            g = cartesian_product(build_path(m), build_path(n))
+            g = build_grid(m, n)[0]
             res = compute_aw(g, 3, budget=budget)
             rows.append(GridTableRow(m, n, closed_form_aw_grid(m, n), res.aw))
     return rows
@@ -157,34 +156,3 @@ def verify_product_bound(
             f"product bound needs both factors on >= 2 vertices, got {g.n} and {h.n}"
         )
     return ProductBoundReport(compute_aw(cartesian_product(g, h), 3, budget=budget))
-
-
-def connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on exactly n vertices, one per isomorphism class.
-
-    Brute-force canonical form: an edge set is kept when no vertex
-    permutation gives a smaller one.  That takes about 2 s at n = 6, and the
-    2^21 edge sets times 7! permutations of n = 7 put it out of reach, so
-    n is capped at 6.  Deterministic order: by edge count, then by edge set.
-    """
-    if n < 1:
-        raise GraphError(f"need n >= 1, got {n}")
-    if n > 6:
-        raise ValueError(f"canonical-form dedup is only supported up to n = 6, got {n}")
-    slots = list(combinations(range(n), 2))
-    perms = list(permutations(range(n)))
-    out = []
-    for mask in range(1 << len(slots)):
-        edges = tuple(slots[i] for i in range(len(slots)) if mask >> i & 1)
-        # Too few edges to connect, or some relabeling gives a smaller edge set.
-        if len(edges) < n - 1 or any(
-            tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges)) < edges
-            for p in perms
-        ):
-            continue
-        try:
-            out.append(Graph.from_edges(n, edges))
-        except GraphError:
-            continue  # disconnected class
-    out.sort(key=lambda g: (g.m, g.edges()))
-    return out

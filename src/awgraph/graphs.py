@@ -205,17 +205,6 @@ def build_grid(m: int, n: int) -> tuple[Graph, GridCoordinates]:
     return cartesian_product(build_path(m), build_path(n)), GridCoordinates(m, n)
 
 
-def layer_vertices(g_n: int, h_n: int, h_index: int) -> tuple[int, ...]:
-    """Vertices of the copy of the left factor at right-factor vertex h_index.
-
-    In cartesian_product(G, H) the copy of G sitting over a fixed H-vertex j
-    is {a*|H| + j : a in V(G)}.
-    """
-    if not 0 <= h_index < h_n:
-        raise GraphError(f"layer index {h_index} out of range for |H|={h_n}")
-    return tuple(a * h_n + h_index for a in range(g_n))
-
-
 # ======================================================================
 # File format
 # ======================================================================
@@ -290,7 +279,7 @@ def graph_to_text(g: Graph) -> str:
 
 
 # ======================================================================
-# Distances and metric subgraphs
+# Distances
 # ======================================================================
 
 
@@ -319,42 +308,3 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     Graph is connected.
     """
     return tuple(tuple(distances_from(g, s)) for s in range(g.n))
-
-
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Induced subgraph relabeled to 0..len(vertices)-1 in sorted id order.
-
-    Raises DisconnectedGraphError when the induced graph is not connected.
-    """
-    vs = sorted(set(vertices))
-    if not vs:
-        raise GraphError("empty vertex subset")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise GraphError(f"subset {vs} not within 0..{g.n - 1}")
-    index = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (index[u], index[v])
-        for u in vs
-        for v in g.adjacency[u]
-        if u < v and v in index
-    ]
-    return Graph.from_edges(len(vs), edges)
-
-
-def is_isometric_subgraph(
-    g: Graph, vertices, dist: tuple[tuple[int, ...], ...] | None = None
-) -> bool:
-    """True iff the induced subgraph is connected and preserves all distances.
-
-    Internal shortest paths of the induced subgraph must equal the distances
-    measured in g (the rows of dist, computed when omitted) for every vertex
-    pair of the subset.
-    """
-    vs = sorted(set(vertices))
-    try:
-        local = all_pairs_distances(induced_subgraph(g, vs))
-    except DisconnectedGraphError:
-        return False
-    if dist is None:
-        dist = all_pairs_distances(g)
-    return all(local[i] == tuple(dist[s][t] for t in vs) for i, s in enumerate(vs))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .aps import ApTable, enumerate_k_aps
 from .coloring import Coloring
 from .errors import BudgetExceededError
-from .graphs import Graph, all_pairs_distances, distances_from
+from .graphs import Graph, all_pairs_distances
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -257,37 +257,3 @@ def compute_aw(
     if witness is None and aw > 2:
         witness = Coloring((1,) * (n - aw + 2) + tuple(range(2, aw)), aw - 1)
     return AwResult(aw, k, n, per_r_verdicts(k, n, aw), witness)
-
-
-def find_polychromatic_path(g: Graph, coloring: Coloring) -> list[int]:
-    """A simple path carrying at least three colors, built deterministically.
-
-    Take the first edge uv with different colors, the vertex w nearest to v
-    carrying a third color (ties by id), and the shortest path from v to w
-    found by walking back from w, each step to the smallest-id neighbor one
-    step closer to v; prepend u when it is not already on that path.  The
-    result starts at a vertex colored c(u) or lies on a geodesic, touches
-    colors c(u), c(v) and c(w), and is a simple path because u is adjacent
-    to the path's start.
-    """
-    if coloring.n != g.n:
-        raise ValueError(f"coloring has {coloring.n} vertices, graph has {g.n}")
-    if coloring.r < 3:
-        raise ValueError(f"need at least 3 colors, got r={coloring.r}")
-    cs = coloring.colors
-    # A connected graph colored exactly with r >= 3 has a bichromatic edge; the first has u < v.
-    u, v = next((u, v) for u in range(g.n) for v in g.adjacency[u] if cs[u] != cs[v])
-    dist = distances_from(g, v)
-    banned = {cs[u], cs[v]}
-    w = min(
-        (x for x in range(g.n) if cs[x] not in banned),
-        key=lambda x: (dist[x], x),
-    )
-    path = [w]
-    while path[-1] != v:
-        x = path[-1]
-        path.append(next(y for y in g.adjacency[x] if dist[y] == dist[x] - 1))
-    path.reverse()
-    if u not in path:
-        path.insert(0, u)
-    return path

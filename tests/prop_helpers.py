@@ -1,14 +1,15 @@
-"""Shared corpora and property checks used by the unit and acceptance tests.
+"""Shared corpora, property checks and helpers used by the unit and acceptance tests.
 
 The checks here are deliberately written against first principles (distance
 matrices and explicit loops), not against the search engine they validate,
-so every property test compares two independent routes.
+so every property test compares two independent routes.  The helpers in the
+first section are used only by the tests and are not part of the awgraph API.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
 from awgraph import (
     Coloring,
@@ -20,12 +21,139 @@ from awgraph import (
     build_grid,
     build_path,
     build_star,
-    cartesian_product,
-    colors_used,
-    connected_graphs,
-    is_canonical,
-    layer_vertices,
 )
+from awgraph.graphs import DisconnectedGraphError, GraphError, distances_from
+
+
+# ======================================================================
+# Helpers: subgraphs, a graph catalog, polychromatic paths, canonical forms
+# ======================================================================
+
+
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """Induced subgraph relabeled to 0..len(vertices)-1 in sorted id order.
+
+    Raises DisconnectedGraphError when the induced graph is not connected.
+    """
+    vs = sorted(set(vertices))
+    if not vs:
+        raise GraphError("empty vertex subset")
+    if vs[0] < 0 or vs[-1] >= g.n:
+        raise GraphError(f"subset {vs} not within 0..{g.n - 1}")
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [
+        (index[u], index[v])
+        for u in vs
+        for v in g.adjacency[u]
+        if u < v and v in index
+    ]
+    return Graph.from_edges(len(vs), edges)
+
+
+def is_isometric_subgraph(
+    g: Graph, vertices, dist: tuple[tuple[int, ...], ...] | None = None
+) -> bool:
+    """True iff the induced subgraph is connected and preserves all distances.
+
+    Internal shortest paths of the induced subgraph must equal the distances
+    measured in g (the rows of dist, computed when omitted) for every vertex
+    pair of the subset.
+    """
+    vs = sorted(set(vertices))
+    try:
+        local = all_pairs_distances(induced_subgraph(g, vs))
+    except DisconnectedGraphError:
+        return False
+    if dist is None:
+        dist = all_pairs_distances(g)
+    return all(local[i] == tuple(dist[s][t] for t in vs) for i, s in enumerate(vs))
+
+
+def connected_graphs(n: int) -> list[Graph]:
+    """All connected graphs on exactly n vertices, one per isomorphism class.
+
+    Brute-force canonical form: an edge set is kept when no vertex
+    permutation gives a smaller one.  That takes about 2 s at n = 6, and the
+    2^21 edge sets times 7! permutations of n = 7 put it out of reach, so
+    n is capped at 6.  Deterministic order: by edge count, then by edge set.
+    """
+    if n < 1:
+        raise GraphError(f"need n >= 1, got {n}")
+    if n > 6:
+        raise ValueError(f"canonical-form dedup is only supported up to n = 6, got {n}")
+    slots = list(combinations(range(n), 2))
+    perms = list(permutations(range(n)))
+    out = []
+    for mask in range(1 << len(slots)):
+        edges = tuple(slots[i] for i in range(len(slots)) if mask >> i & 1)
+        # Too few edges to connect, or some relabeling gives a smaller edge set.
+        if len(edges) < n - 1 or any(
+            tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges)) < edges
+            for p in perms
+        ):
+            continue
+        try:
+            out.append(Graph.from_edges(n, edges))
+        except GraphError:
+            continue  # disconnected class
+    out.sort(key=lambda g: (g.m, g.edges()))
+    return out
+
+
+def find_polychromatic_path(g: Graph, coloring: Coloring) -> list[int]:
+    """A simple path carrying at least three colors, built deterministically.
+
+    Take the first edge uv with different colors, the vertex w nearest to v
+    carrying a third color (ties by id), and the shortest path from v to w
+    found by walking back from w, each step to the smallest-id neighbor one
+    step closer to v; prepend u when it is not already on that path.  The
+    result starts at a vertex colored c(u) or lies on a geodesic, touches
+    colors c(u), c(v) and c(w), and is a simple path because u is adjacent
+    to the path's start.
+    """
+    if coloring.n != g.n:
+        raise ValueError(f"coloring has {coloring.n} vertices, graph has {g.n}")
+    if coloring.r < 3:
+        raise ValueError(f"need at least 3 colors, got r={coloring.r}")
+    cs = coloring.colors
+    # A connected graph colored exactly with r >= 3 has a bichromatic edge; the first has u < v.
+    u, v = next((u, v) for u in range(g.n) for v in g.adjacency[u] if cs[u] != cs[v])
+    dist = distances_from(g, v)
+    banned = {cs[u], cs[v]}
+    w = min(
+        (x for x in range(g.n) if cs[x] not in banned),
+        key=lambda x: (dist[x], x),
+    )
+    path = [w]
+    while path[-1] != v:
+        x = path[-1]
+        path.append(next(y for y in g.adjacency[x] if dist[y] == dist[x] - 1))
+    path.reverse()
+    if u not in path:
+        path.insert(0, u)
+    return path
+
+
+def is_canonical(coloring: Coloring) -> bool:
+    """True iff the coloring is in restricted-growth form."""
+    top = 0
+    for c in coloring.colors:
+        if c > top + 1:
+            return False
+        if c > top:
+            top = c
+    return True
+
+
+def canonicalize(colors) -> Coloring:
+    """Relabel colors by first appearance, yielding the canonical class member."""
+    relabel: dict[int, int] = {}
+    out = []
+    for c in colors:
+        if c not in relabel:
+            relabel[c] = len(relabel) + 1
+        out.append(relabel[c])
+    return Coloring(tuple(out), len(relabel))
 
 
 # ======================================================================
@@ -185,7 +313,7 @@ def check_monochromatic_lines(colors, m: int, n: int) -> list[str]:
 def check_layer_color_spread(coloring: Coloring, g: Graph, h: Graph) -> list[str]:
     """Any two layers (copies of the left factor) differ by at most one color."""
     layers = [
-        colors_used(coloring, layer_vertices(g.n, h.n, j)) for j in range(h.n)
+        {coloring.colors[v] for v in range(j, g.n * h.n, h.n)} for j in range(h.n)
     ]
     bad = []
     for i in range(h.n):
@@ -202,7 +330,7 @@ def check_adjacent_layer_union(coloring: Coloring, g: Graph, h: Graph) -> list[s
     Returns [] as well when some layer carries more (the premise fails).
     """
     layers = [
-        colors_used(coloring, layer_vertices(g.n, h.n, j)) for j in range(h.n)
+        {coloring.colors[v] for v in range(j, g.n * h.n, h.n)} for j in range(h.n)
     ]
     if any(len(c) > 2 for c in layers):
         return []
@@ -230,8 +358,6 @@ def check_polychromatic_path(g: Graph, coloring: Coloring, path: list[int]) -> l
 
 def isometric_subsets(g: Graph, dist) -> list[tuple[int, ...]]:
     """All vertex subsets of size >= 2 inducing an isometric subgraph."""
-    from awgraph import is_isometric_subgraph
-
     out = []
     for size in range(2, g.n + 1):
         for subset in combinations(range(g.n), size):

@@ -26,3 +26,10 @@ def test_all_matches_the_public_imports():
         if not name.startswith("_") and not isinstance(getattr(awgraph, name), types.ModuleType)
     }
     assert sorted(public - set(awgraph.__all__)) == []
+    # Helpers only the tests use live in tests/prop_helpers.py or inline.
+    gone = (
+        "find_polychromatic_path", "induced_subgraph", "is_isometric_subgraph",
+        "layer_vertices", "connected_graphs", "colors_used", "is_canonical",
+        "canonicalize",
+    )
+    assert [name for name in gone if hasattr(awgraph, name)] == []

@@ -3,6 +3,9 @@
 import errno
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 from awgraph import Coloring, graph_to_text, build_path, parse_coloring, verify_certificate
 from awgraph.cli import (
@@ -219,6 +222,27 @@ def test_verify_reports_rainbow_ap_with_coords(capsys, tmp_path):
         "result: rainbow-ap vertices=0,3,4 ordering=0,3,4 d=1"
         " coords=(1,1),(2,1),(2,2)\n"
     )
+
+
+def test_module_entry_matches_main_and_propagates_exit_codes(capsys, tmp_path):
+    # `PYTHONPATH=src python -m awgraph.cli` is the route that needs no install.
+    path = tmp_path / "bad.coloring"
+    path.write_text("6 3\n1 1 2 3 2 1\n", encoding="utf-8")
+    argv = ["verify", "--graph", "grid:2x3", "--k", "3", "--coloring", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run_module(args):
+        return subprocess.run(
+            [sys.executable, "-m", "awgraph.cli", *args],
+            capture_output=True, cwd=tmp_path, env=env, timeout=60,
+        )
+
+    proc = run_module(argv)
+    code, out, _ = run(capsys, argv)
+    assert (proc.returncode, code) == (EXIT_OK, EXIT_OK)
+    assert proc.stdout == out.encode()
+    proc = run_module(["aw", "--graph", "grid:4x4", "--k", "3", "--budget", "5"])
+    assert proc.returncode == EXIT_BUDGET
 
 
 def test_verify_without_grid_coords(capsys, tmp_path):

@@ -6,12 +6,10 @@ from awgraph import (
     Coloring,
     ColoringError,
     ColoringFormatError,
-    canonicalize,
     coloring_to_text,
-    colors_used,
-    is_canonical,
     parse_coloring,
 )
+from prop_helpers import canonicalize, is_canonical
 
 
 def test_coloring_validation():
@@ -46,15 +44,6 @@ def test_canonicalize_relabels_by_first_appearance():
     assert is_canonical(c)
     # idempotent on canonical input
     assert canonicalize(c.colors) == c
-
-
-def test_colors_used():
-    c = Coloring((1, 1, 2, 3, 1, 1), 3)
-    assert colors_used(c, range(6)) == {1, 2, 3}
-    assert colors_used(c, [0, 1, 4]) == {1}
-    assert colors_used(c, [2, 3]) == {2, 3}
-    with pytest.raises(ColoringError):
-        colors_used(c, [6])
 
 
 def test_file_format_round_trip():

@@ -18,7 +18,6 @@ from awgraph import (
     cartesian_product,
     closed_form_aw_grid,
     compute_aw,
-    connected_graphs,
     construct_corner_coloring,
     construct_two_red_coloring,
     emit_certificate,
@@ -31,6 +30,7 @@ from awgraph import (
 )
 from awgraph import search
 import plain_engine
+from prop_helpers import connected_graphs
 from test_search import AW_GRID
 
 

@@ -21,12 +21,14 @@ from awgraph import (
     build_star,
     cartesian_product,
     graph_to_text,
-    induced_subgraph,
-    is_isometric_subgraph,
-    layer_vertices,
     parse_graph,
 )
-from prop_helpers import random_connected_graph, small_corpus
+from prop_helpers import (
+    induced_subgraph,
+    is_isometric_subgraph,
+    random_connected_graph,
+    small_corpus,
+)
 
 
 def test_builders_basic_shapes():
@@ -212,13 +214,6 @@ def test_distances_match_networkx():
         for n in range(1, 9):
             h = nx.relabel_nodes(nx.grid_2d_graph(m, n), lambda ij: ij[0] * n + ij[1])
             assert all_pairs_distances(build_grid(m, n)[0]) == _networkx_rows(h, m * n), (m, n)
-
-
-def test_layer_vertices():
-    assert layer_vertices(2, 3, 0) == (0, 3)
-    assert layer_vertices(2, 3, 2) == (2, 5)
-    with pytest.raises(GraphError):
-        layer_vertices(2, 3, 3)
 
 
 def test_induced_subgraph_relabels():

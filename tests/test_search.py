@@ -14,19 +14,19 @@ from awgraph import (
     build_grid,
     build_path,
     build_star,
-    canonicalize,
     compute_aw,
     enumerate_k_aps,
     enumerate_rainbow_free_colorings,
     exists_rainbow_free_coloring,
-    find_polychromatic_path,
-    is_canonical,
 )
 from prop_helpers import (
     assert_lex_sorted_canonical,
     brute_force_aw,
+    canonicalize,
     check_polychromatic_path,
+    find_polychromatic_path,
     grid_flip_horizontal,
+    is_canonical,
     labeled_rainbow_free,
     random_exact_coloring,
     small_corpus,

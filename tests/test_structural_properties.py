@@ -12,10 +12,8 @@ from awgraph import (
     build_path,
     cartesian_product,
     compute_aw,
-    colors_used,
     enumerate_k_aps,
     enumerate_rainbow_free_colorings,
-    induced_subgraph,
 )
 from prop_helpers import (
     check_adjacent_layer_union,
@@ -23,6 +21,7 @@ from prop_helpers import (
     check_layer_color_spread,
     check_monochromatic_lines,
     corpus_products,
+    induced_subgraph,
     isometric_subsets,
     small_corpus,
 )
@@ -71,7 +70,7 @@ def test_isometric_subsets_bound_color_count():
                 key = (sub.n, sub.adjacency)
                 if key not in aw_cache:
                     aw_cache[key] = compute_aw(sub, 3).aw
-                used = colors_used(coloring, subset)
+                used = {coloring.colors[v] for v in subset}
                 assert len(used) <= aw_cache[key] - 1, (name, subset)
     assert nonvacuous > 0
 
@@ -139,7 +138,7 @@ def test_product_adjacent_layer_union():
             for coloring in enumerate_rainbow_free_colorings(table, r):
                 assert check_adjacent_layer_union(coloring, g, h) == [], name
                 layers = [
-                    colors_used(coloring, range(j, p.n, h.n)) for j in range(h.n)
+                    {coloring.colors[v] for v in range(j, p.n, h.n)} for j in range(h.n)
                 ]
                 if all(len(c) <= 2 for c in layers):
                     premise_held += 1

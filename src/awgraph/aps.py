@@ -69,8 +69,8 @@ class ApTable:
         else:
             # The walk finds each set's least ordering first.  One more walk
             # of the graph costs about what enumerating did; a walk per set,
-            # over its own k x k distances, took about three times as long
-            # on grid 8x10 at k = 5.
+            # over its own k x k distances, took about twice as long on
+            # grids 6x8 and 8x10 at k = 5.
             first: dict[tuple[int, ...], tuple[int, ...]] = {}
             for seq in _orderings(rows, self.k):
                 key = tuple(sorted(seq))

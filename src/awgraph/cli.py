@@ -8,8 +8,8 @@ Graph specs: path:N, cycle:N, complete:N, star:N, grid:MxN,
 product:<spec>,<spec> (nesting depth at most 3), file:<path>.
 
 Exit codes: 0 success, 1 reported mismatch or failed bound, 2 usage or
-validation error, 3 node budget exceeded.  The AWGRAPH_BUDGET environment
-variable overrides the default node budget; --budget overrides both.
+validation error, 3 node budget exceeded.  --budget overrides the default
+node budget.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-BUDGET_ENV_VAR = "AWGRAPH_BUDGET"
 
 _MAX_PRODUCT_DEPTH = 3
 
@@ -126,20 +124,11 @@ def parse_graph_spec(spec: str) -> tuple[Graph, GridCoordinates | None]:
 
 
 def _budget_from(args) -> int:
-    if args.budget is not None:
-        if args.budget < 1:
-            raise SpecError(f"--budget must be positive, got {args.budget}")
-        return args.budget
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
+    if args.budget is None:
         return DEFAULT_NODE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpecError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise SpecError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
+    if args.budget < 1:
+        raise SpecError(f"--budget must be positive, got {args.budget}")
+    return args.budget
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -185,7 +174,7 @@ def _print_graph_line(spec: str, g: Graph) -> None:
 
 
 def cmd_aw(args) -> int:
-    g, coords = parse_graph_spec(args.graph)
+    g, _ = parse_graph_spec(args.graph)
     result = compute_aw(g, args.k, budget=_budget_from(args))
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
@@ -286,7 +275,7 @@ def cmd_product_bound(args) -> int:
     report = verify_product_bound(left, right, budget=_budget_from(args))
     print(f"product: {args.left} x {args.right} n={report.result.n}")
     print(f"aw = {report.aw}")
-    if report.aw == 4 and report.witness is not None:
+    if report.aw == 4:
         print(f"witness: {_coloring_line(report.witness)}")
     print(f"bound: {'pass' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -305,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="awgraph",
         description="Anti-van der Waerden numbers of connected graphs by exhaustive search.",
-        epilog=f"The {BUDGET_ENV_VAR} environment variable overrides the default node budget.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -342,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser(
-        "product-bound",
-        aliases=["product_bound"],
-        help="check aw(G box H, 3) <= 4 for a Cartesian product",
+        "product-bound", help="check aw(G box H, 3) <= 4 for a Cartesian product"
     )
     p.add_argument("--left", required=True, help="left factor graph spec")
     p.add_argument("--right", required=True, help="right factor graph spec")

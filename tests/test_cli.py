@@ -123,14 +123,6 @@ def test_product_bound_golden(capsys):
     )
 
 
-def test_product_bound_alias(capsys):
-    code, out, _ = run(
-        capsys, ["product_bound", "--left", "path:2", "--right", "path:2"]
-    )
-    assert code == EXIT_OK
-    assert out.endswith("bound: pass\n")
-
-
 def test_table_golden(capsys):
     code, out, _ = run(capsys, ["table", "--max-cells", "8"])
     assert code == EXIT_OK
@@ -331,24 +323,22 @@ def test_usage_errors(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_usage_error_messages(capsys, monkeypatch):
+def test_usage_error_messages(capsys):
     for argv, line in (
         (["aw", "--graph", "path3", "--k", "3"], "graph spec needs '<kind>:...', got 'path3'"),
         (
             ["aw", "--graph", "product:path:2", "--k", "3"],
             "product spec needs two comma-separated operands",
         ),
+        (
+            ["aw", "--graph", "path:3", "--k", "3", "--budget", "0"],
+            "--budget must be positive, got 0",
+        ),
     ):
         assert run(capsys, argv) == (EXIT_USAGE, "", f"error: {line}\n"), argv
-    monkeypatch.setenv("AWGRAPH_BUDGET", "0")
-    assert run(capsys, ["aw", "--graph", "path:3", "--k", "3"]) == (
-        EXIT_USAGE,
-        "",
-        "error: AWGRAPH_BUDGET must be positive, got 0\n",
-    )
 
 
-def test_budget_exit_codes(capsys, monkeypatch):
+def test_budget_exit_codes(capsys):
     code, _, err = run(
         capsys, ["aw", "--graph", "grid:3x4", "--k", "3", "--budget", "5"]
     )
@@ -364,21 +354,31 @@ def test_budget_exit_codes(capsys, monkeypatch):
     assert out == ""
     assert err == "error: search expanded more than 10 nodes (r=2, n=12)\n"
 
-    monkeypatch.setenv("AWGRAPH_BUDGET", "5")
-    code, _, _ = run(capsys, ["aw", "--graph", "grid:3x4", "--k", "3"])
-    assert code == EXIT_BUDGET
-
-    # An explicit flag beats the environment.
     code, _, _ = run(
         capsys,
         ["aw", "--graph", "grid:3x4", "--k", "3", "--budget", "1000000"],
     )
     assert code == EXIT_OK
 
-    monkeypatch.setenv("AWGRAPH_BUDGET", "abc")
-    code, _, err = run(capsys, ["aw", "--graph", "grid:3x4", "--k", "3"])
-    assert code == EXIT_USAGE
-    assert "AWGRAPH_BUDGET" in err
+
+def test_no_budget_variable_or_underscore_alias(capsys, monkeypatch):
+    # The budget comes from --budget alone, and each subcommand has one name.
+    argv = ["aw", "--graph", "grid:3x4", "--k", "3"]
+    code, plain, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    monkeypatch.setenv("AWGRAPH_BUDGET", "5")
+    assert run(capsys, argv) == (EXIT_OK, plain, "")
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "awgraph.cli",
+         "product_bound", "--left", "path:2", "--right", "path:2"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert "invalid choice: 'product_bound'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_deep_graph_exhausts_budget_without_traceback(capsys):

@@ -6,9 +6,13 @@ Orderings are existential: a vertex set is stored once even when several
 orderings (possibly with different d) realize it.  Degenerate progressions
 with repeated vertices are excluded throughout.
 
-An ApTable holds the vertex sets only; the ArithmeticProgression objects,
-with one realizing ordering each, are built on first access to its aps.
-The ordering is fixed by one rule per k:
+An ApTable is built in one of two forms and derives the other on first
+access: the sorted vertex sets, or the lists the search reads, which group
+the APs by their second-largest vertex.  enumerate_k_aps builds the grouped
+lists at k = 3 and the sets at every other k; brute_force_k_aps builds the
+sets.  The ArithmeticProgression objects, with one realizing ordering each,
+are built from the sets on first access to its aps.  The ordering is fixed
+by one rule per k:
 
 - k = 3: the smallest member equidistant from the other two goes in the
   middle, with the two ends ascending;
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .errors import BudgetExceededError
 
@@ -39,26 +43,54 @@ class ArithmeticProgression:
     d: int
 
 
-@dataclass(frozen=True)
 class ApTable:
     """All k-APs of the graph whose distance rows are dist.
 
     sets holds each AP's vertices as a sorted tuple, the tuples in
-    lexicographic order.  aps holds the same APs, in the same order, as
-    ArithmeticProgression objects whose witness follows the module's
-    ordering rule; it is built on first access and then kept.
+    lexicographic order.  ahead[s] lists the APs whose second-largest vertex
+    is s, each as (smallest vertex, largest vertex) at k = 3 and as
+    (vertices below s, largest vertex) at every other k, in no fixed order.
+    A table is built from one of the two and derives the other on first
+    access; neither is changed after.  aps holds the APs of sets, in the
+    same order, as ArithmeticProgression objects whose witness follows the
+    module's ordering rule; it too is built on first access and then kept.
     """
 
-    k: int
-    dist: tuple[tuple[int, ...], ...]
-    sets: tuple[tuple[int, ...], ...]
+    def __init__(
+        self,
+        k: int,
+        dist: tuple[tuple[int, ...], ...],
+        *,
+        sets: tuple[tuple[int, ...], ...] | None = None,
+        ahead: list[list[tuple]] | None = None,
+    ):
+        if (sets is None) == (ahead is None):
+            raise ValueError("an ApTable is built from exactly one of sets and ahead")
+        self.k = k
+        self.dist = dist
+        # cached_property has no setter, so either form stored here is what
+        # its property returns, and the other form is derived from it.
+        if sets is None:
+            self.ahead = ahead
+        else:
+            self.sets = sets
 
     @property
     def n(self) -> int:
         return len(self.dist)
 
-    # cached_property stores into the instance __dict__ directly, so it
-    # works on a frozen dataclass.
+    @cached_property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        # Only k = 3 tables are built without their sets.
+        return tuple(sorted((a, s, w) for s, pairs in enumerate(self.ahead) for a, w in pairs))
+
+    @cached_property
+    def ahead(self) -> list[list[tuple]]:
+        ahead: list[list[tuple]] = [[] for _ in range(self.n)]
+        for vs in self.sets:
+            ahead[vs[-2]].append((vs[0] if self.k == 3 else vs[:-2], vs[-1]))
+        return ahead
+
     @cached_property
     def aps(self) -> tuple[ArithmeticProgression, ...]:
         if not self.sets:
@@ -141,36 +173,48 @@ def enumerate_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     """All k-APs of the graph whose distance rows are dist.
 
     k = 3: a set {a, b, c} qualifies iff some member is equidistant from the
-    other two, so middle vertices b are scanned and the others bucketed by
-    their distance from b; each pair a < c sharing a bucket closes a
-    progression, kept only from its smallest middle.  Every other k: each
-    ordering that _orderings finds is reduced to its sorted vertex set.
+    other two, so middle vertices b are scanned and the others put in rings
+    by their distance from b; each pair a < c sharing a ring closes a
+    progression, kept only from its smallest middle and filed straight into
+    ahead under its second-largest vertex, so no set is built or sorted.
+    Every other k: each ordering that _orderings finds is reduced to its
+    sorted vertex set.
     """
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
     n = len(dist)
     if k > n:
-        return ApTable(k, dist, ())  # no k distinct vertices to order
+        return ApTable(k, dist, sets=())  # no k distinct vertices to order
     if k != 3:
         found = {tuple(sorted(seq)) for seq in _orderings(dist, k)}
-        return ApTable(k, dist, tuple(sorted(found)))
-    sets: list[tuple[int, int, int]] = []
-    for b in range(n):
-        row = dist[b]
-        buckets: dict[int, list[int]] = {}
-        for a in range(n):
-            if a != b:
-                buckets.setdefault(row[a], []).append(a)
-        for d, group in buckets.items():
-            for a, c in combinations(group, 2):
+        return ApTable(k, dist, sets=tuple(sorted(found)))
+    ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for b, row in enumerate(dist):
+        rings: list[list[int]] = [[] for _ in range(max(row) + 1)]
+        for a, d in enumerate(row):
+            rings[d].append(a)
+        # rings[0] is [b] alone, so every pair shares a ring with d >= 1.
+        for d, ring in enumerate(rings):
+            i = 0
+            for a in ring:
+                i += 1
                 if b < a:
-                    sets.append((b, a, c))
+                    # b is the smallest member and so the smallest middle,
+                    # and a is second-largest beside any c above it.
+                    ahead_a = ahead[a]
+                    for c in ring[i:]:
+                        ahead_a.append((b, c))
+                    continue
                 # With d(a, b) = d(c, b) = d, a and c are middles iff
                 # d(a, c) = d; then a < b is a smaller middle than b.
-                elif dist[a][c] != d:
-                    sets.append((a, c, b) if c < b else (a, b, c))
-    sets.sort()
-    return ApTable(k, dist, tuple(sets))
+                row_a = dist[a]
+                for c in ring[i:]:
+                    if row_a[c] != d:
+                        if c < b:
+                            ahead[c].append((a, b))
+                        else:
+                            ahead[b].append((a, c))
+    return ApTable(k, dist, ahead=ahead)
 
 
 def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
@@ -192,7 +236,7 @@ def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
         d = dist[tup[0]][tup[1]]
         if all(dist[tup[i]][tup[i + 1]] == d for i in range(1, k - 1)):
             found.add(tuple(sorted(tup)))
-    return ApTable(k, dist, tuple(sorted(found)))
+    return ApTable(k, dist, sets=tuple(sorted(found)))
 
 
 def scan_3aps(

@@ -58,12 +58,13 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
     every vertex keeps a domain of colors it may still take.  Choosing a color
-    for vertex v reads each AP whose second-largest vertex is v: when its
-    k - 1 assigned members carry pairwise distinct colors, its largest member
-    w is restricted to those colors, since any other would make the AP
-    rainbow.  A choice that empties a domain is rejected without entering the
-    next vertex.  Entering vertex v allows its domain within 1..top+1 (at
-    most r).
+    for vertex v reads table.ahead[v], the APs whose second-largest vertex is
+    v: when an AP's k - 1 assigned members carry pairwise distinct colors,
+    its largest member w is restricted to those colors, since any other
+    would make the AP rainbow.  A choice that empties a domain is rejected
+    without entering the next vertex.  Neither the rejection nor the domains
+    passed on depend on the order of the APs in a list.  Entering vertex v
+    allows its domain within 1..top+1 (at most r).
 
     doms[v] is the list of domains in force on entering v.  A choice at v
     passes doms[v] on to v + 1 unchanged, or a copy of it made at its first
@@ -79,12 +80,8 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
     k = table.k
     n = table.n
     full = (1 << r) - 1
-    # ahead[s]: (members below s, largest member) of each AP whose
-    # second-largest vertex is s; for k = 3 the one member below s.
-    ahead: list[list[tuple]] = [[] for _ in range(n)]
-    if r >= k:
-        for vs in table.sets:
-            ahead[vs[-2]].append((vs[0] if k == 3 else vs[:-2], vs[-1]))
+    # With r < k no AP can restrict a domain, so none is read.
+    ahead = table.ahead if r >= k else [()] * n
     doms: list[list[int]] = [[full] * n] * (n + 1)  # doms[v > 0] is set on entering v
     bits = [0] * n
     cols = [0] * n  # the chosen colors as ints, copied out at each solution

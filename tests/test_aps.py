@@ -14,6 +14,7 @@ import awgraph.cli
 from awgraph import (
     VERDICT_WITNESS_INVALID,
     VERDICT_WITNESS_VALID,
+    ApTable,
     AwResult,
     BudgetExceededError,
     Coloring,
@@ -80,6 +81,10 @@ def test_k_validation():
         enumerate_k_aps(dist, 1)
     with pytest.raises(ValueError):
         brute_force_k_aps(dist, 0)
+    with pytest.raises(ValueError):
+        ApTable(3, dist)  # neither form
+    with pytest.raises(ValueError):
+        ApTable(3, dist, sets=(), ahead=[[], [], []])  # both forms
 
 
 def test_brute_force_guard():
@@ -88,15 +93,62 @@ def test_brute_force_guard():
         brute_force_k_aps(dist, 6)  # 30!/24! ordered tuples > 10^8
 
 
+def _regrouped(sets, n, k):
+    """The oracle's sets filed under their second-largest vertex, one multiset per vertex."""
+    lists = [Counter() for _ in range(n)]
+    for vs in sets:
+        lists[vs[-2]][vs[0] if k == 3 else vs[:-2], vs[-1]] += 1
+    return lists
+
+
 def test_enumerate_matches_brute_force():
-    # The central oracle equivalence: same vertex sets for every corpus graph,
-    # also for k = n + 1, where there are no k distinct vertices.
-    for name, g in small_corpus():
+    # The central oracle equivalence, for both forms of a table: a k = 3
+    # table is built as the lists the search reads and derives its sets,
+    # every other table is built as sets and derives the lists.  Each
+    # vertex's list is compared as a multiset, since its order is free.
+    # Empty tables are included: k = n + 1, where there are no k distinct
+    # vertices, and star:4 at k = 4, whose leaves are pairwise at distance 2.
+    cases = [(name, g, k) for name, g in small_corpus() for k in (2, 3, 4, 5, g.n + 1)]
+    cases += [
+        (f"grid:{m}x{n}", build_grid(m, n)[0], k)
+        for m in range(1, 6)
+        for n in range(max(m, 2), 6)
+        for k in (2, 3, 4)
+    ]
+    for name, g, k in cases:
         dist = all_pairs_distances(g)
-        for k in (3, 4, g.n + 1):
-            fast = enumerate_k_aps(dist, k)
-            slow = brute_force_k_aps(dist, k)
-            assert _sets(fast) == _sets(slow), f"{name} k={k}"
+        fast = enumerate_k_aps(dist, k)
+        if k == 3 <= g.n:
+            assert "sets" not in vars(fast), name
+        slow = brute_force_k_aps(dist, k).sets
+        assert [Counter(entries) for entries in fast.ahead] == _regrouped(
+            slow, g.n, k
+        ), f"{name} k={k}"
+        assert fast.sets == slow, f"{name} k={k}"
+    assert enumerate_k_aps(all_pairs_distances(build_star(4)), 4).sets == ()
+
+
+def test_path_and_cycle_tables_are_arithmetic_progressions():
+    # An oracle that reads no graph distance: the k-APs of P_n are the
+    # progressions a, a + t, ..., a + (k - 1)t inside 0..n-1, and those of
+    # C_n are the same progressions mod n that have k distinct members.
+    for n in range(3, 31):
+        path = all_pairs_distances(build_path(n))
+        cycle = all_pairs_distances(build_cycle(n))
+        for k in (3, 4, 5):
+            on_path = {
+                tuple(range(a, a + k * t, t))
+                for t in range(1, n)
+                for a in range(n - (k - 1) * t)
+            }
+            mod_n = {
+                tuple(sorted({(a + i * t) % n for i in range(k)}))
+                for a in range(n)
+                for t in range(1, n)
+            }
+            on_cycle = {vs for vs in mod_n if len(vs) == k}
+            assert enumerate_k_aps(path, k).sets == tuple(sorted(on_path)), f"P_{n} k={k}"
+            assert enumerate_k_aps(cycle, k).sets == tuple(sorted(on_cycle)), f"C_{n} k={k}"
 
 
 def test_long_progressions_ignore_the_recursion_limit():
@@ -208,14 +260,32 @@ def _capture_tables(monkeypatch):
     return built
 
 
+class _CountedReads(list):
+    """A list that counts the items read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, tmp_path):
-    # Only a reported AP needs an ordering: the search and a check that finds
-    # no rainbow AP read the vertex sets and leave table.aps unbuilt.  A
-    # k = 3 coloring is checked from distance rings, with no table, whether
-    # or not it has a rainbow AP.
+    # Only a reported AP needs an ordering: the search reads the grouped
+    # lists a k = 3 table is built as, and a check that finds no rainbow AP
+    # reads the vertex sets; table.aps stays unbuilt.  A k = 3 coloring is
+    # checked from distance rings, with no table, whether or not it has a
+    # rainbow AP.
     g, _ = build_grid(2, 3)
     table = enumerate_k_aps(all_pairs_distances(g), 3)
+    grouped = _CountedReads(table.ahead)
+    vars(table)["ahead"] = grouped
     assert exists_rainbow_free_coloring(table, 3) is not None
+    after_r3 = grouped.reads
+    assert exists_rainbow_free_coloring(table, 4) is None
+    assert 0 < after_r3 < grouped.reads
+    assert vars(table)["ahead"] is grouped
+    assert "sets" not in vars(table) and "aps" not in vars(table)
     assert enumerate_rainbow_free_colorings(table, 3)
     assert find_rainbow_ap(table, (1, 1, 2, 3, 1, 1)) is None
     assert "aps" not in vars(table)
@@ -247,7 +317,7 @@ def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, 
     report = verify_certificate(emit_certificate(compute_aw(g, 4), g))
     assert report.verdict == VERDICT_WITNESS_VALID, report.notes
     assert len(built) == 1 and built[0].k == 4 and built[0].sets
-    assert "aps" not in vars(built[0])
+    assert "aps" not in vars(built[0]) and "ahead" not in vars(built[0])
 
 
 def test_large_grid_certificate_counts_every_progression(monkeypatch):

@@ -67,6 +67,7 @@ from .graphs import (
     build_path,
     build_star,
     cartesian_product,
+    distance_rings,
     graph_to_text,
     parse_graph,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "compute_aw",
     "construct_corner_coloring",
     "construct_two_red_coloring",
+    "distance_rings",
     "emit_certificate",
     "enumerate_k_aps",
     "enumerate_rainbow_free_colorings",

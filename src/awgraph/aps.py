@@ -19,7 +19,9 @@ by one rule per k:
 - every other k: the lexicographically least ordering with a constant step.
 
 At k = 3, scan_3aps counts the APs and names the first rainbow one under
-a coloring, the one find_rainbow_ap would name, without building a table.
+a coloring, the one find_rainbow_ap would name, without building a table
+or reading distance rows: it reads the per-vertex distance rings that
+graphs.distance_rings grows as bitmasks.
 """
 
 from __future__ import annotations
@@ -239,67 +241,69 @@ def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     return ApTable(k, dist, sets=tuple(sorted(found)))
 
 
-def scan_3aps(
-    dist: tuple[tuple[int, ...], ...], colors
-) -> tuple[int, ArithmeticProgression | None]:
-    """(number of 3-APs of dist, first rainbow 3-AP under colors in table order or None).
+def scan_3aps(rings: list[list[int]], colors) -> tuple[int, ArithmeticProgression | None]:
+    """(number of 3-APs, first rainbow 3-AP under colors in table order or None).
 
-    Each vertex b gets its distance rings as bitmasks, ring[d] holding the
-    vertices at distance d from b.  Every pair {a, c} of one ring with d >= 1
-    is a 3-AP with middle b, and a rainbow one exactly when a, c and b carry
-    three colors: so some AP is rainbow iff, for some b and d, the members of
-    ring[d] not colored like b carry two or more colors.
+    rings is graphs.distance_rings of the graph: rings[b][d] holds the
+    vertices at distance d from b as a bitmask.  Every pair {a, c} of one
+    ring with d >= 1 is a 3-AP with middle b, and a rainbow one exactly when
+    a, c and b carry three colors: so some AP is rainbow iff, for some b and
+    d, the members of rings[b][d] not colored like b carry two or more colors.
 
     Such a ring names one rainbow AP: its lowest member x not colored like b
     and its lowest member y colored like neither b nor x, with b.  A rainbow
     set {b, p, q} with middle b lies in that ring, and x <= p, y <= q for
     p < q, so the ring's set is no larger than it.  The least set over all
-    rings is therefore the first rainbow set in enumerate_k_aps order, and
-    it is returned as the table would build it.
+    rings is therefore the first rainbow set in enumerate_k_aps order.  The
+    ring of its smallest middle names it first, since the rings are read
+    by ascending b and only a smaller set replaces the one named; so that
+    middle, with d, gives the ordering the table would build.
 
     A set with two middles has all three pairwise distances equal, and then
     all three members are middles; so a set has one middle or three.  The
     pairs summed over every ring count the first kind once and the second,
-    T sets, three times: the count is that sum minus 2T.  A set of the
-    second kind is found from each of its three pairs {a, b} as a common
-    member of the rings at d(a, b) around a and around b.
+    T sets, three times: the count is that sum minus 2T.  Each set of the
+    second kind is counted once, from its smallest member b, as a pair of
+    members a < c of a ring of b, both above b, with c in the ring of a at
+    the same distance.
     """
-    n = len(dist)
-    bit = [1 << v for v in range(n)]
+    bit = [1 << v for v in range(len(rings))]
     classes: dict = {}
     for v, c in enumerate(colors):
         classes[c] = classes.get(c, 0) | bit[v]
-    rings = []
     pairs = 0
+    equilateral = 0
     first = None
-    for b, row in enumerate(dist):
-        ring = [0] * (max(row) + 1)
-        for v, d in enumerate(row):
-            ring[d] |= bit[v]
+    for b, ring in enumerate(rings):
         other = ~classes[colors[b]]
-        for members in ring[1:]:
+        above = -(bit[b] << 1)  # every vertex above b
+        for d, members in enumerate(ring):
+            size = members.bit_count()
+            if size < 2:
+                continue  # no pair; ring 0 is b alone
+            pairs += size * (size - 1) // 2
             rest = members & other
             if rest:
                 x = (rest & -rest).bit_length() - 1
                 third = rest & ~classes[colors[x]]
                 if third:
                     vs = tuple(sorted((b, x, (third & -third).bit_length() - 1)))
-                    if first is None or vs < first:
-                        first = vs
-            size = members.bit_count()
-            pairs += size * (size - 1) // 2
-        rings.append(ring)
-    equilateral = 0
-    for a, row in enumerate(dist):
-        ring_a = rings[a]
-        for b in range(a + 1, n):
-            d = row[b]
-            equilateral += (ring_a[d] & rings[b][d]).bit_count()
-    count = pairs - 2 * (equilateral // 3)
+                    if first is None or vs < first[0]:
+                        first = vs, b, d
+            # Each member a above b, lowest first, with the members above a
+            # that lie in a's ring at d too: the equilateral sets whose
+            # smallest member is b.
+            later = members & above
+            while later & (later - 1):
+                low = later & -later
+                later ^= low
+                equilateral += (later & rings[low.bit_length() - 1][d]).bit_count()
+    count = pairs - 2 * equilateral
     if first is None:
         return count, None
-    w = _middle_first(first, dist)
-    return count, ArithmeticProgression(first, w, dist[w[0]][w[1]])
+    vs, b, d = first
+    x, z = (v for v in vs if v != b)
+    return count, ArithmeticProgression(vs, (x, b, z), d)
 
 
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:

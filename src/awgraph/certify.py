@@ -7,8 +7,10 @@ graph, and parse_certificate(text) returns that (result, g) pair again.  The
 checker re-derives distances from the embedded graph text and validates the
 witness on its own; it never runs a coloring search.  check_coloring,
 which verify_certificate and the CLI's verify and construct checks all
-call, counts a graph's k-APs and names the first rainbow one: from distance
-rings at k = 3 (scan_3aps), with no AP table, and from the table otherwise.
+call, takes the graph, counts its k-APs and names the first rainbow one:
+at k = 3 from distance rings grown straight from the graph
+(distance_rings, scan_3aps), with no distance rows and no AP table, and
+otherwise from the distance rows and the AP table.
 Nonexistence flags ("no rainbow-free exact r-coloring") are attestations of
 an exhausted search and are not re-proved.  The claimed aw fixes PER_R and
 whether a witness is present, as compute_aw writes them: PER_R holds
@@ -38,7 +40,14 @@ from dataclasses import dataclass
 from .aps import ArithmeticProgression, enumerate_k_aps, find_rainbow_ap, scan_3aps
 from .coloring import Coloring, ColoringError, coloring_to_text, parse_coloring_fields
 from .errors import AwgraphError
-from .graphs import Graph, GraphError, all_pairs_distances, graph_to_text, parse_graph
+from .graphs import (
+    Graph,
+    GraphError,
+    all_pairs_distances,
+    distance_rings,
+    graph_to_text,
+    parse_graph,
+)
 from .search import AwResult, per_r_verdicts
 
 VERDICT_WITNESS_VALID = "witness-valid"
@@ -199,23 +208,24 @@ def parse_certificate(text: str) -> tuple[AwResult, Graph]:
 # ======================================================================
 
 
-def check_coloring(dist, k: int, colors) -> tuple[int, ArithmeticProgression | None]:
-    """(number of k-APs, first rainbow k-AP in table order or None) for colors on dist.
+def check_coloring(g: Graph, k: int, colors) -> tuple[int, ArithmeticProgression | None]:
+    """(number of k-APs, first rainbow k-AP in table order or None) for colors on g.
 
-    The one place that picks the method: distance rings at k = 3, the AP
-    table and find_rainbow_ap for every other k.  Raises ValueError for k < 2.
+    The one place that picks the method: distance rings at k = 3, the
+    distance rows, the AP table and find_rainbow_ap for every other k.
+    Raises ValueError for k < 2.
     """
     if k == 3:
-        return scan_3aps(dist, colors)
-    table = enumerate_k_aps(dist, k)
+        return scan_3aps(distance_rings(g), colors)
+    table = enumerate_k_aps(all_pairs_distances(g), k)
     return len(table.sets), find_rainbow_ap(table, colors)
 
 
 def verify_certificate(text: str) -> VerificationReport:
     """Classify certificate text: witness-valid, witness-invalid, inconsistent or malformed.
 
-    Rebuilds distances from the embedded graph and checks the witness with
-    check_coloring, so an AP table is built only for k != 3.  The first
+    Checks the witness on the embedded graph with check_coloring, so
+    distance rows and an AP table are built only for k != 3.  The first
     failing check decides the verdict:
 
     1. the text parses (malformed);
@@ -284,7 +294,7 @@ def verify_certificate(text: str) -> VerificationReport:
         Coloring(values, r)
     except ColoringError as exc:
         return report(VERDICT_WITNESS_INVALID, f"witness is {exc}")
-    count, rainbow = check_coloring(all_pairs_distances(graph), k, values)
+    count, rainbow = check_coloring(graph, k, values)
     # With k <= n every exact n-coloring is rainbow on any k-AP, so a graph
     # without k-APs has aw = n + 1 and nothing less.
     if not count and claimed <= n:

@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
         raise SpecError(
             f"coloring has {coloring.n} vertices but the graph has {g.n}"
         )
-    _, ap = check_coloring(all_pairs_distances(g), args.k, coloring.colors)
+    _, ap = check_coloring(g, args.k, coloring.colors)
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
     print(f"coloring: r={coloring.r} {_coloring_line(coloring)}")
@@ -255,7 +255,7 @@ def cmd_table(args) -> int:
 def cmd_construct(args) -> int:
     coloring = GRID_COLORINGS[args.name](args.m, args.n)
     g, _ = build_grid(args.m, args.n)
-    _, ap = check_coloring(all_pairs_distances(g), 3, coloring.colors)
+    _, ap = check_coloring(g, 3, coloring.colors)
     print(f"construction: {args.name} m={args.m} n={args.n}")
     if ap is not None:
         print(

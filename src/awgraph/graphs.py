@@ -308,3 +308,31 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     Graph is connected.
     """
     return tuple(tuple(distances_from(g, s)) for s in range(g.n))
+
+
+def distance_rings(g: Graph) -> list[list[int]]:
+    """rings[v][d]: the vertices at distance d from v as a bitmask, for d = 0..ecc(v).
+
+    Every source grows at once, one radius per round: the ball of radius
+    d + 1 around v is the OR of the radius-d balls of v and its neighbours,
+    and the new ring is what that adds.  A vertex drops out once its ball
+    stops growing, which in a connected graph is when it holds every vertex.
+    """
+    adjacency = g.adjacency
+    ball = [1 << v for v in range(g.n)]
+    rings = [[b] for b in ball]
+    growing = range(g.n)
+    while growing:
+        prev = ball[:]  # the radius-d balls, read while ball takes radius d + 1
+        still = []
+        for v in growing:
+            reach = old = prev[v]
+            for u in adjacency[v]:
+                reach |= prev[u]
+            ring = reach ^ old
+            if ring:
+                rings[v].append(ring)
+                ball[v] = reach
+                still.append(v)
+        growing = still
+    return rings

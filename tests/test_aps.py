@@ -28,6 +28,7 @@ from awgraph import (
     build_star,
     compute_aw,
     construct_two_red_coloring,
+    distance_rings,
     emit_certificate,
     enumerate_k_aps,
     enumerate_rainbow_free_colorings,
@@ -367,6 +368,7 @@ def test_ring_count_and_verdict_match_the_oracle():
     outcomes = Counter()
     for name, g in _ring_check_graphs():
         dist = all_pairs_distances(g)
+        rings = distance_rings(g)
         oracle = brute_force_k_aps(dist, 3)
         colorings = []
         for r in range(1, 5):
@@ -384,7 +386,7 @@ def test_ring_count_and_verdict_match_the_oracle():
             colorings += [free, near]
         for colors in colorings:
             expected = (len(oracle.sets), find_rainbow_ap(oracle, colors))
-            assert scan_3aps(dist, colors) == expected, f"{name} {colors}"
+            assert scan_3aps(rings, colors) == expected, f"{name} {colors}"
             outcomes[len(set(colors)) >= 3, expected[1] is not None] += 1
     # Both verdicts occur with three or more colors, so neither is vacuous.
     assert outcomes[True, True] > 100 and outcomes[True, False] > 100, outcomes

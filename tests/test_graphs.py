@@ -20,6 +20,7 @@ from awgraph import (
     build_path,
     build_star,
     cartesian_product,
+    distance_rings,
     graph_to_text,
     parse_graph,
 )
@@ -201,19 +202,39 @@ def _networkx_rows(h, n):
     return tuple(tuple(lengths[u][v] for v in range(n)) for u in range(n))
 
 
+def _assert_rows_and_rings(g, h):
+    # The BFS rows equal networkx's, and every ring is exactly the vertices
+    # its row puts at that distance, out to the row's largest entry.
+    rows = all_pairs_distances(g)
+    assert rows == _networkx_rows(h, g.n), sorted(h.edges())
+    rings = distance_rings(g)
+    assert len(rings) == g.n
+    for v, row in enumerate(rows):
+        assert len(rings[v]) == max(row) + 1, (sorted(h.edges()), v)
+        for d, ring in enumerate(rings[v]):
+            assert ring == sum(1 << u for u, du in enumerate(row) if du == d), (v, d)
+
+
 def test_distances_match_networkx():
-    # Every connected atlas graph on 1..7 vertices, then every grid up to 8x8
-    # with networkx building the grid itself.
+    # Every connected atlas graph on 1..7 vertices, every grid up to 8x8
+    # with networkx building the grid itself, then paths and cycles up to
+    # 40 vertices, complete graphs and stars.
     atlas = [ag for ag in nx.graph_atlas_g() if ag.number_of_nodes() and nx.is_connected(ag)]
     assert len(atlas) == 1 + 1 + 2 + 6 + 21 + 112 + 853
     for ag in atlas:
         n = ag.number_of_nodes()
-        g = Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()])
-        assert all_pairs_distances(g) == _networkx_rows(ag, n), sorted(ag.edges())
+        _assert_rows_and_rings(Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()]), ag)
     for m in range(1, 9):
         for n in range(1, 9):
             h = nx.relabel_nodes(nx.grid_2d_graph(m, n), lambda ij: ij[0] * n + ij[1])
-            assert all_pairs_distances(build_grid(m, n)[0]) == _networkx_rows(h, m * n), (m, n)
+            _assert_rows_and_rings(build_grid(m, n)[0], h)
+    for n in range(1, 41):
+        _assert_rows_and_rings(build_path(n), nx.path_graph(n))
+        _assert_rows_and_rings(build_complete(n), nx.complete_graph(n))
+        if n >= 3:
+            _assert_rows_and_rings(build_cycle(n), nx.cycle_graph(n))
+        if n >= 2:
+            _assert_rows_and_rings(build_star(n), nx.star_graph(n - 1))
 
 
 def test_induced_subgraph_relabels():

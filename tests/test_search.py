@@ -123,6 +123,31 @@ def test_frozen_grid_aw_values():
         assert compute_aw(g, 3).aw == want, (m, n)
 
 
+def _bsy_f(n: int) -> int:
+    """f(n) with aw([n], 3) = f(n), in the form recalled for [BSY] (PAPER.md).
+
+    With 3^m <= n < 3^(m+1): m + 2 when n = 3^m, m + 3 when
+    3^m < n <= 7 * 3^(m-1), and m + 4 otherwise.  Valid as written for
+    n >= 3.  This form has not been checked against [BSY]'s own text.
+    """
+    m = 0
+    while 3 ** (m + 1) <= n:
+        m += 1
+    if n == 3**m:
+        return m + 2
+    return m + 3 if n <= 7 * 3 ** (m - 1) else m + 4
+
+
+def test_path_aw_matches_the_recalled_bsy_formula():
+    # The APs of [n] are the non-degenerate APs of P_n ([SWY]), so
+    # aw(P_n, 3) = aw([n], 3).  Values come from the search, never from the
+    # formula; aw is not monotone here (P_8 -> 5, P_9 -> 4; P_26 -> 6,
+    # P_27 -> 5), which makes n = 3..30 a regression range for the search.
+    searched = {n: compute_aw(build_path(n), 3).aw for n in range(3, 31)}
+    assert searched == {n: _bsy_f(n) for n in searched}
+    assert searched[8] > searched[9] and searched[26] > searched[27]
+
+
 def test_short_circuit_when_k_exceeds_n():
     res = compute_aw(build_path(2), 3)
     assert res.aw == 3

@@ -202,7 +202,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def build_grid(m: int, n: int) -> tuple[Graph, GridCoordinates]:
     """Product of path(m) and path(n) plus its 1-based coordinate map."""
-    return cartesian_product(build_path(m), build_path(n)), GridCoordinates(m, n)
+    coords = GridCoordinates(m, n)  # names the grid, not a path, when m or n < 1
+    return cartesian_product(build_path(m), build_path(n)), coords
 
 
 # ======================================================================

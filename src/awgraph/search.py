@@ -76,6 +76,10 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
     missing; a node with fewer of them is cut.  With r < k no AP can be
     rainbow and the domains stay unrestricted.  Each node entered counts
     against the budget, leaves and cut nodes included.
+
+    A leaf is recorded only when top == r: its colors are in restricted-growth
+    form and reach r, so each result is an exact r-coloring.  The public
+    operations below rely on that to build their Colorings unchecked.
     """
     k = table.k
     n = table.n
@@ -194,7 +198,7 @@ def exists_rainbow_free_coloring(
     found = _search(table, r, budget, True)
     if not found:
         return None
-    return Coloring(found[0], r)
+    return Coloring._of_exact(found[0], r)
 
 
 def enumerate_rainbow_free_colorings(
@@ -210,7 +214,8 @@ def enumerate_rainbow_free_colorings(
     BudgetExceededError once this call enters more than budget nodes.
     """
     _validate_search_args(table, r)
-    return [Coloring(c, r) for c in _search(table, r, budget, False)]
+    of_exact = Coloring._of_exact
+    return [of_exact(c, r) for c in _search(table, r, budget, False)]
 
 
 def per_r_verdicts(k: int, n: int, aw: int) -> tuple[tuple[int, bool], ...]:

@@ -97,6 +97,17 @@ def test_extremal_solution_heavy_goldens(capsys):
             66,
             "18ef3ea030e07a4be190556b2cb5122863fc6e336db7a097d3a197b5880e88cf",
         ),
+        # The largest solution-heavy and proof-heavy rows of the benchmark.
+        (
+            ["extremal", "--graph", "grid:4x4", "--k", "3", "--r", "2"],
+            32767,
+            "dc5c78d56b9ddc6281fbacc434d4bc9e8973c41e37a230b02263f0dbbd9343ce",
+        ),
+        (
+            ["extremal", "--graph", "path:15", "--k", "4", "--r", "8"],
+            6,
+            "a773437f15ca70a00b43b8bf8c304107640c9c20c41bd3f62a215ed5357d3e76",
+        ),
     ):
         code, out, err = run(capsys, argv)
         assert (code, err) == (EXIT_OK, ""), argv
@@ -322,6 +333,12 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert code == EXIT_USAGE
 
+    # A color left unused is refused like any other malformed coloring file.
+    inexact = tmp_path / "inexact.coloring"
+    inexact.write_text("3 3\n1 2 2\n", encoding="utf-8")
+    argv = ["verify", "--graph", "path:3", "--k", "3", "--coloring", str(inexact)]
+    assert run(capsys, argv) == (EXIT_USAGE, "", "error: not exact: colors [3] unused\n")
+
 
 def test_usage_error_messages(capsys):
     for argv, line in (
@@ -334,6 +351,7 @@ def test_usage_error_messages(capsys):
             ["aw", "--graph", "path:3", "--k", "3", "--budget", "0"],
             "--budget must be positive, got 0",
         ),
+        (["aw", "--graph", "grid:0x3", "--k", "3"], "grid needs m, n >= 1, got 0x3"),
     ):
         assert run(capsys, argv) == (EXIT_USAGE, "", f"error: {line}\n"), argv
 

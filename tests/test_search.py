@@ -3,6 +3,7 @@
 import math
 import random
 
+import networkx
 import pytest
 
 from awgraph import (
@@ -223,6 +224,32 @@ def test_canonical_count_times_factorial():
                 assert len(labeled) == len(canonical) * math.factorial(r), (name, k, r)
                 filtered = [cs for cs in labeled if is_canonical(Coloring(cs, r))]
                 assert filtered == [c.colors for c in canonical], (name, k, r)
+
+
+def test_search_results_pass_the_checked_constructor():
+    # Search results are built without Coloring's exactness check.  Each must
+    # be one the checked constructor accepts and equals, canonical and
+    # hashable like it, on every connected atlas graph on 1-6 vertices and
+    # every grid up to 3x4, at k = 3 and 4 and every r.
+    graphs = [
+        Graph.from_edges(ag.number_of_nodes(), sorted(tuple(sorted(e)) for e in ag.edges()))
+        for ag in networkx.graph_atlas_g()
+        if 1 <= ag.number_of_nodes() <= 6 and networkx.is_connected(ag)
+    ]
+    graphs += [build_grid(m, n)[0] for m in range(1, 4) for n in range(m, 5)]
+    assert len(graphs) == 143 + 9
+    for g in graphs:
+        for k in (3, 4):
+            table = _table(g, k)
+            for r in range(1, g.n + 1):
+                found = enumerate_rainbow_free_colorings(table, r)
+                first = exists_rainbow_free_coloring(table, r)
+                assert first == (found[0] if found else None), (g.edges(), k, r)
+                for c in found + ([first] if first else []):
+                    checked = Coloring(c.colors, c.r)
+                    assert c == checked and c.r == r, (g.edges(), k, c)
+                    assert hash(c) == hash(checked), (g.edges(), k, c)
+                    assert is_canonical(c), (g.edges(), k, c)
 
 
 def test_budget_exhaustion_raises():

@@ -8,7 +8,7 @@ above the maximum seen so far.
 Every public construction checks exactness: Coloring(colors, r) itself, and
 with it parse_coloring, certificate parsing and verification, the
 constructions and compute_aw's closed-form witness.  Only search results skip
-the check, through Coloring._of_exact: the search records a leaf only when
+the check, through Coloring._of_exact: the search yields a leaf only when
 its restricted-growth colors have reached r (top == r), so each one is exact
 by construction.
 """
@@ -126,17 +126,17 @@ def parse_coloring(text: str) -> Coloring:
 
 
 def coloring_lines(colorings, r: int):
-    """Yield each coloring's colors as one line of space-separated decimals, no newline.
+    """Yield each sequence of colors as one line of space-separated decimals, no newline.
 
     Every color must lie in 1..r.  Colors are looked up in one table of the
     names of 0..r, so a color costs a list index rather than a str() call;
     an enumeration prints many colorings of one r.
     """
     names = [str(c) for c in range(r + 1)]
-    for coloring in colorings:
-        yield " ".join([names[c] for c in coloring.colors])
+    for colors in colorings:
+        yield " ".join([names[c] for c in colors])
 
 
 def coloring_to_text(coloring: Coloring) -> str:
     """Inverse of parse_coloring."""
-    return f"{coloring.n} {coloring.r}\n{next(coloring_lines([coloring], coloring.r))}\n"
+    return f"{coloring.n} {coloring.r}\n{next(coloring_lines([coloring.colors], coloring.r))}\n"

@@ -15,12 +15,16 @@ and a branch is cut when too few vertices with unrestricted domains remain
 to bring in the colors still missing from 1..r.  Both cut only subtrees
 without a solution, so the results are those of the plain search.
 
-A search takes only the AP table, which fixes n and k, and r.  compute_aw
-writes a witness with fewer than k colors in closed form, without a search.
+A search takes only the AP table, which fixes n and k, and r.  The engine is
+one generator, _search.  The first-solution, streamed and list operations
+below all read it and differ only in how many solutions they take and what
+they return them as.  compute_aw writes a witness with fewer than k colors in
+closed form, without a search.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .aps import ApTable, enumerate_k_aps
@@ -53,8 +57,12 @@ class AwResult:
 # ======================================================================
 
 
-def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple[int, ...]]:
-    """Canonical rainbow-free exact r-colorings in lex order; only the first if first_only.
+def _search(table: ApTable, r: int, budget: int) -> Iterator[list[int]]:
+    """Generate the canonical rainbow-free exact r-colorings in lex order.
+
+    Each solution is yielded as the search's own list of colors, which it
+    changes once resumed: a caller that keeps a solution copies it first.  A
+    caller that stops early expands no further node.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
     every vertex keeps a domain of colors it may still take.  Choosing a color
@@ -77,7 +85,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
     rainbow and the domains stay unrestricted.  Each node entered counts
     against the budget, leaves and cut nodes included.
 
-    A leaf is recorded only when top == r: its colors are in restricted-growth
+    A leaf is yielded only when top == r: its colors are in restricted-growth
     form and reach r, so each result is an exact r-coloring.  The public
     operations below rely on that to build their Colorings unchecked.
     """
@@ -88,11 +96,10 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
     ahead = table.ahead if r >= k else [()] * n
     doms: list[list[int]] = [[full] * n] * (n + 1)  # doms[v > 0] is set on entering v
     bits = [0] * n
-    cols = [0] * n  # the chosen colors as ints, copied out at each solution
+    cols = [0] * n  # the chosen colors as ints, yielded at each solution
     untried = [0] * n
     tops = [0] * n
     frees = [0] * n
-    found: list[tuple[int, ...]] = []
     nodes = 0
     v = top = 0
     free = n  # unassigned vertices whose domain is unrestricted
@@ -105,9 +112,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
         allowed = 0
         if v == n:
             if top == r:
-                found.append(tuple(cols))
-                if first_only:
-                    return found
+                yield cols
         elif r - top <= free:
             d = doms[v][v]
             allowed = d & ((1 << (top + 1 if top < r else r)) - 1)
@@ -116,7 +121,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
         while True:
             while not allowed:
                 if v == 0:
-                    return found
+                    return
                 v -= 1
                 allowed = untried[v]
             low = allowed & -allowed
@@ -195,10 +200,26 @@ def exists_rainbow_free_coloring(
     Raises BudgetExceededError once this call enters more than budget nodes.
     """
     _validate_search_args(table, r)
-    found = _search(table, r, budget, True)
-    if not found:
-        return None
-    return Coloring._of_exact(found[0], r)
+    for cols in _search(table, r, budget):
+        return Coloring._of_exact(tuple(cols), r)
+    return None
+
+
+def iter_rainbow_free_colorings(
+    table: ApTable,
+    r: int,
+    *,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> Iterator[tuple[int, ...]]:
+    """The colors of each canonical rainbow-free exact r-coloring, in lex order, as found.
+
+    r is checked on the call; the search runs as the iterator is read, so
+    memory does not grow with the number of solutions.  Raises
+    BudgetExceededError from the read on which more than budget nodes have
+    been entered.
+    """
+    _validate_search_args(table, r)
+    return map(tuple, _search(table, r, budget))
 
 
 def enumerate_rainbow_free_colorings(
@@ -213,9 +234,8 @@ def enumerate_rainbow_free_colorings(
     avoiding rainbow k-APs (the relabeling action is free).  Raises
     BudgetExceededError once this call enters more than budget nodes.
     """
-    _validate_search_args(table, r)
     of_exact = Coloring._of_exact
-    return [of_exact(c, r) for c in _search(table, r, budget, False)]
+    return [of_exact(c, r) for c in iter_rainbow_free_colorings(table, r, budget=budget)]
 
 
 def per_r_verdicts(k: int, n: int, aw: int) -> tuple[tuple[int, bool], ...]:

@@ -10,12 +10,14 @@ tests can swap it in with monkeypatch to recompute any result.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from awgraph.aps import ApTable
 from awgraph.errors import BudgetExceededError
 
 
-def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple[int, ...]]:
-    """Canonical rainbow-free exact r-colorings in lex order; only the first if first_only.
+def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Generate the canonical rainbow-free exact r-colorings in lex order.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
     depth v keeps vertex v's untried colors and the largest color used
@@ -33,7 +35,6 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
     bits = [0] * n
     untried = [0] * n
     tops = [0] * n
-    found: list[tuple[int, ...]] = []
     nodes = 0
     v = top = 0
     while True:
@@ -45,9 +46,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
         allowed = 0
         if v == n:
             if top == r:
-                found.append(tuple(map(int.bit_length, bits)))
-                if first_only:
-                    return found
+                yield tuple(map(int.bit_length, bits))
         elif r - top <= n - v:
             allowed = (1 << (top + 1 if top < r else r)) - 1
             # Fewer than k - 1 colors in use cannot make an AP rainbow.
@@ -70,7 +69,7 @@ def _search(table: ApTable, r: int, budget: int, first_only: bool) -> list[tuple
                             allowed &= seen
         while not allowed:
             if v == 0:
-                return found
+                return
             v -= 1
             allowed = untried[v]
             top = tops[v]

@@ -1,10 +1,12 @@
 """End-to-end CLI tests: golden outputs, file round trips, exit codes."""
 
+import contextlib
 import errno
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from awgraph import Coloring, graph_to_text, build_path, parse_coloring, verify_certificate
@@ -113,6 +115,28 @@ def test_extremal_solution_heavy_goldens(capsys):
         assert (code, err) == (EXIT_OK, ""), argv
         assert f"\ncount = {count}\n" in out, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_extremal_streams_in_memory_that_does_not_grow_with_the_count():
+    # 32,767 rows go to a sink that keeps nothing; the run must hold no
+    # list of solutions (7.8 MB traced when every row was kept).
+    class LineCounter:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+            return len(text)
+
+    sink = LineCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["extremal", "--graph", "grid:4x4", "--k", "3", "--r", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines) == (EXIT_OK, 32767 + 5)
+    assert peak < 1 << 20, peak
 
 
 def test_product_bound_golden(capsys):
@@ -312,26 +336,29 @@ def test_usage_errors(capsys, tmp_path):
         ["table", "--max-cells", "3"],
         ["product-bound", "--left", "path:1", "--right", "path:2"],
         ["aw", "--graph", "grid:2x3", "--k", "3", "--budget", "0"],
+        ["extremal", "--graph", "path:3", "--k", "3", "--r", "0"],
+        ["extremal", "--graph", "path:3", "--k", "3", "--r", "2", "--budget", "0"],
     ]
+    # A usage error writes nothing on stdout, not even the extremal header.
     for argv in cases:
-        code, _, err = run(capsys, argv)
-        assert code == EXIT_USAGE, argv
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
         assert err.startswith("error:"), argv
 
     bad = tmp_path / "bad.coloring"
     bad.write_text("3 3\n0 1 2\n", encoding="utf-8")
-    code, _, err = run(
+    code, out, err = run(
         capsys, ["verify", "--graph", "path:3", "--k", "3", "--coloring", str(bad)]
     )
-    assert code == EXIT_USAGE
+    assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error:")
 
     short = tmp_path / "short.coloring"
     short.write_text("2 2\n1 2\n", encoding="utf-8")
-    code, _, err = run(
+    code, out, _ = run(
         capsys, ["verify", "--graph", "path:3", "--k", "3", "--coloring", str(short)]
     )
-    assert code == EXIT_USAGE
+    assert (code, out) == (EXIT_USAGE, "")
 
     # A color left unused is refused like any other malformed coloring file.
     inexact = tmp_path / "inexact.coloring"
@@ -363,14 +390,20 @@ def test_budget_exit_codes(capsys):
     assert code == EXIT_BUDGET
     assert err.startswith("error:")
 
-    # extremal prints only after the enumeration completes.
-    code, out, err = run(
-        capsys,
-        ["extremal", "--graph", "grid:3x4", "--k", "3", "--r", "2", "--budget", "10"],
-    )
-    assert code == EXIT_BUDGET
-    assert out == ""
-    assert err == "error: search expanded more than 10 nodes (r=2, n=12)\n"
+    # extremal writes its header once every argument is checked, then each
+    # row as the search finds it.  A budget exit keeps the rows written so
+    # far, a prefix of the full output, and writes no count lines.
+    argv = ["extremal", "--graph", "grid:3x4", "--k", "3", "--r", "2"]
+    code, full, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    header = "graph grid:3x4 n=12 m=17\nk = 3\nr = 2\n"
+    for budget, rows in ((10, 0), (100, 45)):
+        code, out, err = run(capsys, argv + ["--budget", str(budget)])
+        assert code == EXIT_BUDGET
+        assert out.startswith(header) and full.startswith(out)
+        assert "count =" not in out
+        assert out.count("\n") == 3 + rows
+        assert err == f"error: search expanded more than {budget} nodes (r=2, n=12)\n"
 
     code, _, _ = run(
         capsys,

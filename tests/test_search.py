@@ -20,6 +20,7 @@ from awgraph import (
     enumerate_rainbow_free_colorings,
     exists_rainbow_free_coloring,
 )
+from awgraph.search import iter_rainbow_free_colorings
 from prop_helpers import (
     assert_lex_sorted_canonical,
     brute_force_aw,
@@ -301,12 +302,38 @@ def test_node_counts_are_pinned():
             search(table, r, budget=nodes - 1)
 
 
+def test_streamed_colors_match_the_enumeration_and_the_first_solution():
+    for name, g in small_corpus():
+        dist = all_pairs_distances(g)
+        for k in (2, 3, 4, 5):
+            table = enumerate_k_aps(dist, k)
+            for r in range(1, g.n + 1):
+                streamed = list(iter_rainbow_free_colorings(table, r))
+                assert all(type(c) is tuple for c in streamed), (name, k, r)
+                listed = enumerate_rainbow_free_colorings(table, r)
+                assert streamed == [c.colors for c in listed], (name, k, r)
+                first = exists_rainbow_free_coloring(table, r)
+                assert streamed[:1] == ([] if first is None else [first.colors]), (name, k, r)
+
+
+def test_streamed_first_solution_needs_only_its_own_nodes():
+    # The enumeration enters more than 32,767 nodes; the first solution, 18.
+    table = _table(build_grid(4, 4)[0])
+    with pytest.raises(BudgetExceededError):
+        enumerate_rainbow_free_colorings(table, 2, budget=100)
+    first = next(iter_rainbow_free_colorings(table, 2, budget=100))
+    assert first == exists_rainbow_free_coloring(table, 2).colors
+
+
 def test_argument_validation():
     g, _ = build_grid(2, 3)
     table = _table(g)
     for bad_r in (0, -1, 7):
         with pytest.raises(ValueError):
             exists_rainbow_free_coloring(table, bad_r)
+        # Checked on the call, before the iterator is read.
+        with pytest.raises(ValueError):
+            iter_rainbow_free_colorings(table, bad_r)
     with pytest.raises(ValueError):
         compute_aw(g, 1)
 

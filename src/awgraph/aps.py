@@ -21,7 +21,11 @@ by one rule per k:
 At k = 3, scan_3aps counts the APs and names the first rainbow one under
 a coloring, the one find_rainbow_ap would name, without building a table
 or reading distance rows: it reads the per-vertex distance rings that
-graphs.distance_rings grows as bitmasks.
+graphs.distance_rings grows as bitmasks.  Its count corrects for the
+equilateral sets, whose three pairwise distances are equal.  By the parity
+rule (in a bipartite graph the three distances of any three vertices sum to
+an even number) a bipartite graph, such as any grid, has none at odd d, so
+scan_3aps looks for them only in even rings there.
 """
 
 from __future__ import annotations
@@ -266,11 +270,18 @@ def scan_3aps(rings: list[list[int]], colors) -> tuple[int, ArithmeticProgressio
     second kind is counted once, from its smallest member b, as a pair of
     members a < c of a ring of b, both above b, with c in the ring of a at
     the same distance.
+
+    Parity rule: in a bipartite graph d(x, y) + d(y, z) + d(x, z) is even
+    for every three vertices, so no set of the second kind has an odd d,
+    and the walk for them skips the odd rings.  The graph is bipartite iff
+    each vertex's neighbours, its ring at d = 1, all lie on the other side
+    of the split of vertex 0's rings into even and odd d.
     """
     bit = [1 << v for v in range(len(rings))]
     classes: dict = {}
     for v, c in enumerate(colors):
         classes[c] = classes.get(c, 0) | bit[v]
+    skip_odd = 1 if _bipartite(rings) else 0  # tested as d & skip_odd
     pairs = 0
     equilateral = 0
     first = None
@@ -290,6 +301,8 @@ def scan_3aps(rings: list[list[int]], colors) -> tuple[int, ArithmeticProgressio
                     vs = tuple(sorted((b, x, (third & -third).bit_length() - 1)))
                     if first is None or vs < first[0]:
                         first = vs, b, d
+            if d & skip_odd:
+                continue
             # Each member a above b, lowest first, with the members above a
             # that lie in a's ring at d too: the equilateral sets whose
             # smallest member is b.
@@ -304,6 +317,23 @@ def scan_3aps(rings: list[list[int]], colors) -> tuple[int, ArithmeticProgressio
     vs, b, d = first
     x, z = (v for v in vs if v != b)
     return count, ArithmeticProgression(vs, (x, b, z), d)
+
+
+def _bipartite(rings: list[list[int]]) -> bool:
+    """Whether the graph whose distance rings these are is bipartite.
+
+    Its two sides can only be the vertices at even and at odd distance from
+    vertex 0, so it is bipartite iff no vertex has a neighbour on its own
+    side: n mask tests.
+    """
+    even = 0
+    for members in rings[0][::2]:
+        even |= members
+    odd = ~even
+    for v, ring in enumerate(rings):
+        if len(ring) > 1 and ring[1] & (even if even >> v & 1 else odd):
+            return False
+    return True
 
 
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:

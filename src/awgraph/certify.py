@@ -10,7 +10,10 @@ which verify_certificate and the CLI's verify and construct checks all
 call, takes the graph, counts its k-APs and names the first rainbow one:
 at k = 3 from distance rings grown straight from the graph
 (distance_rings, scan_3aps), with no distance rows and no AP table, and
-otherwise from the distance rows and the AP table.
+otherwise from the distance rows and the AP table.  At k = 3 the parity
+rule applies: a bipartite graph, such as the grid of any grid certificate,
+has no 3-AP with three equal distances at odd d, so the count skips
+looking for them there.
 Nonexistence flags ("no rainbow-free exact r-coloring") are attestations of
 an exhausted search and are not re-proved.  The claimed aw fixes PER_R and
 whether a witness is present, as compute_aw writes them: PER_R holds

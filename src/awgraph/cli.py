@@ -10,7 +10,8 @@ product:<spec>,<spec> (nesting depth at most 3), file:<path>.
 Exit codes: 0 success, 1 reported mismatch or failed bound, 2 usage or
 validation error, 3 node budget exceeded.  --budget overrides the default
 node budget.  extremal writes each row as the search finds it, so on exit 3
-its stdout is a prefix of the full output; on exit 2 nothing is written.
+its stdout is a prefix of the full output.  aw --cert and construct --out
+write their file before they print, so on exit 2 stdout stays empty.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def _print_graph_line(spec: str, g: Graph) -> None:
 def cmd_aw(args) -> int:
     g, _ = parse_graph_spec(args.graph)
     result = compute_aw(g, args.k, budget=_budget_from(args))
+    if args.cert is not None:  # written first, so a failed write prints nothing
+        _write_atomic(args.cert, emit_certificate(result, g))
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
     print(f"aw = {result.aw}")
@@ -197,7 +200,6 @@ def cmd_aw(args) -> int:
     else:
         print("witness: none")
     if args.cert is not None:
-        _write_atomic(args.cert, emit_certificate(result, g))
         print(f"certificate: {args.cert}")
     return EXIT_OK
 
@@ -263,6 +265,8 @@ def cmd_construct(args) -> int:
     coloring = GRID_COLORINGS[args.name](args.m, args.n)
     g, _ = build_grid(args.m, args.n)
     _, ap = check_coloring(g, 3, coloring.colors)
+    if ap is None:  # written first, so a failed write prints nothing
+        _write_atomic(args.out, coloring_to_text(coloring))
     print(f"construction: {args.name} m={args.m} n={args.n}")
     if ap is not None:
         print(
@@ -271,7 +275,6 @@ def cmd_construct(args) -> int:
         )
         return EXIT_FAIL
     print("self-check: rainbow-free")
-    _write_atomic(args.out, coloring_to_text(coloring))
     print(f"wrote: {args.out}")
     return EXIT_OK
 

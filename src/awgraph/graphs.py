@@ -8,6 +8,7 @@ coordinate maps rely on it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -219,11 +220,7 @@ def parse_graph(text: str) -> Graph:
     self-loops, out-of-range ids and disconnected graphs are rejected, each
     with its own error class.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise MalformedHeaderError("empty graph text")
     head = lines[0].split()
@@ -240,8 +237,9 @@ def parse_graph(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise MalformedEdgeError(f"expected {m} edge lines, found {len(body)}")
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    # Adjacency rows only for the vertices that have an edge, so a header
+    # whose m cannot connect its n vertices allocates no n rows.
+    rows: defaultdict[int, set[int]] = defaultdict(set)
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -258,14 +256,15 @@ def parse_graph(text: str) -> Graph:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if u > v:
             raise MalformedEdgeError(f"edge ({u}, {v}) must satisfy u < v")
-        if (u, v) in seen:
+        row = rows[u]
+        if v in row:
             raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    if m < n - 1:  # checked before Graph allocates n adjacency rows
+        row.add(v)
+        rows[v].add(u)
+    if m < n - 1:
         raise DisconnectedGraphError(f"{m} edges cannot connect {n} vertices")
     try:
-        return Graph.from_edges(n, edges)
+        return Graph(n, tuple(tuple(sorted(rows.get(u, ()))) for u in range(n)))
     except DisconnectedGraphError:
         raise DisconnectedGraphError(
             "graph file describes a disconnected graph"

@@ -26,6 +26,7 @@ from awgraph import (
     build_grid,
     build_path,
     build_star,
+    cartesian_product,
     compute_aw,
     construct_two_red_coloring,
     distance_rings,
@@ -338,8 +339,21 @@ def test_large_grid_certificate_counts_every_progression(monkeypatch):
 
 
 def _ring_check_graphs():
-    """Every connected atlas graph on 3-7 vertices, every grid up to 8x8, K_3..K_9."""
-    graphs = []
+    """Every connected atlas graph on 3-7 vertices, every grid up to 8x8, K_3..K_9,
+    and graphs on either side of the parity rule: C_9, C_15, grid 4x4 plus the
+    chord 5-10, the Petersen graph and the hypercube Q_4."""
+    grid = build_grid(4, 4)[0]
+    square = build_cycle(4)
+    petersen = networkx.petersen_graph()
+    graphs = [
+        ("cycle:9", build_cycle(9)),
+        ("cycle:15", build_cycle(15)),
+        # Not bipartite only because of the chord, which closes the
+        # equilateral triangle {5, 6, 10} at d = 1.
+        ("grid:4x4+5-10", Graph.from_edges(16, grid.edges() + ((5, 10),))),
+        ("petersen", Graph.from_edges(10, petersen.edges())),
+        ("hypercube:4", cartesian_product(square, square)),
+    ]
     for i, ag in enumerate(networkx.graph_atlas_g()):
         if 3 <= ag.number_of_nodes() <= 7 and networkx.is_connected(ag):
             edges = sorted(tuple(sorted(e)) for e in ag.edges())
@@ -366,10 +380,14 @@ def test_ring_count_and_verdict_match_the_oracle():
     # vertices.
     rng = random.Random(14)
     outcomes = Counter()
+    equilateral_parity = {}  # name: the parities of d over its equilateral sets
     for name, g in _ring_check_graphs():
         dist = all_pairs_distances(g)
         rings = distance_rings(g)
         oracle = brute_force_k_aps(dist, 3)
+        equilateral_parity[name] = {
+            dist[a][b] % 2 for a, b, c in oracle.sets if dist[a][b] == dist[b][c] == dist[a][c]
+        }
         colorings = []
         for r in range(1, 5):
             colorings.append([rng.randint(1, r) for _ in range(g.n)])
@@ -390,3 +408,9 @@ def test_ring_count_and_verdict_match_the_oracle():
             outcomes[len(set(colors)) >= 3, expected[1] is not None] += 1
     # Both verdicts occur with three or more colors, so neither is vacuous.
     assert outcomes[True, True] > 100 and outcomes[True, False] > 100, outcomes
+    # Equilateral sets, whose three distances are equal, occur at odd d in
+    # graphs that are not bipartite and at even d in a bipartite one, so
+    # the checks above cover both sides of the parity rule.
+    for name in ("cycle:9", "cycle:15", "grid:4x4+5-10"):
+        assert 1 in equilateral_parity[name], name
+    assert equilateral_parity["hypercube:4"] == {0}

@@ -456,6 +456,7 @@ def test_repeat_byte_identical(capsys):
 def test_failed_writes_keep_existing_files(capsys, monkeypatch, tmp_path):
     # --cert and --out write through a temp file in the target directory,
     # so a failure before or during the rename leaves the old file as it was.
+    # The file is written before anything is printed, so exit 2 prints nothing.
     cert = tmp_path / "out.cert"
     coloring = tmp_path / "corner.coloring"
     cert.write_bytes(b"old certificate\n")
@@ -477,8 +478,9 @@ def test_failed_writes_keep_existing_files(capsys, monkeypatch, tmp_path):
     ):
         with monkeypatch.context() as m:
             m.setattr(target, boom)
-            code, _, err = run(capsys, argv)
+            code, out, err = run(capsys, argv)
         assert code == EXIT_USAGE, (target, argv[0])
+        assert out == "", (target, argv[0])
         assert "disk full" in err
         assert cert.read_bytes() == b"old certificate\n"
         assert coloring.read_bytes() == b"old coloring\n"
@@ -497,6 +499,7 @@ def test_write_into_missing_directory_names_the_target(capsys, tmp_path):
     ):
         first = run(capsys, argv)
         assert first[0] == EXIT_USAGE, argv[0]
+        assert first[1] == "", argv[0]
         assert first[2] == f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
         assert run(capsys, argv) == first
     assert list(tmp_path.iterdir()) == []

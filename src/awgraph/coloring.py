@@ -5,12 +5,9 @@ of them.  The canonical representative of a relabeling class is the
 restricted-growth form: color 1 on vertex 0, and each later entry at most one
 above the maximum seen so far.
 
-Every public construction checks exactness: Coloring(colors, r) itself, and
-with it parse_coloring, certificate parsing and verification, the
-constructions and compute_aw's closed-form witness.  Only search results skip
-the check, through Coloring._of_exact: the search yields a leaf only when
-its restricted-growth colors have reached r (top == r), so each one is exact
-by construction.
+Every construction checks exactness: Coloring(colors, r) itself, and with it
+parse_coloring, certificate parsing and verification, the search results,
+the constructions and compute_aw's closed-form witness.
 """
 
 from __future__ import annotations
@@ -52,27 +49,9 @@ class Coloring:
                 missing = sorted(set(range(1, self.r + 1)) - used)
                 raise ColoringError(f"not exact: colors {missing} unused")
 
-    @classmethod
-    def _of_exact(cls, colors: tuple[int, ...], r: int) -> Coloring:
-        """Coloring(colors, r) without the exactness check.
-
-        The caller guarantees what __post_init__ would check: r >= 1, colors
-        is a non-empty tuple of ints in 1..r, and every color in 1..r occurs.
-        """
-        self = object.__new__(cls)
-        _set_colors(self, colors)
-        _set_r(self, r)
-        return self
-
     @property
     def n(self) -> int:
         return len(self.colors)
-
-
-# The slot setters, called directly: half the cost of object.__setattr__,
-# which looks each one up by name on the class first.
-_set_colors = Coloring.colors.__set__
-_set_r = Coloring.r.__set__
 
 
 def parse_coloring_fields(text: str) -> tuple[tuple[int, ...], int]:

@@ -66,6 +66,7 @@ class Graph:
             raise GraphError(
                 f"adjacency has {len(self.adjacency)} rows for n={self.n}"
             )
+        back: list[list[int]] = [[] for _ in range(self.n)]
         for u, row in enumerate(self.adjacency):
             prev = -1
             for v in row:
@@ -76,10 +77,20 @@ class Graph:
                 if v <= prev:
                     raise GraphError(f"adjacency row {u} not strictly sorted")
                 prev = v
-        for u, row in enumerate(self.adjacency):
-            for v in row:
-                if u not in self.adjacency[v]:
-                    raise GraphError(f"edge {u}-{v} missing its reverse")
+                back[v].append(u)
+        # back[v] lists in ascending order the vertices whose rows hold v, so
+        # it equals row v unless some edge u-v lacks its reverse v-u; then u is
+        # in back[v] but not in row v.  The least such (u, v) is the first in
+        # row order.  O(m), where a membership test per edge costs sum deg^2.
+        missing = [
+            (u, v)
+            for v, row in enumerate(self.adjacency)
+            if tuple(back[v]) != row
+            for u in set(back[v]).difference(row)
+        ]
+        if missing:
+            u, v = min(missing)
+            raise GraphError(f"edge {u}-{v} missing its reverse")
         if -1 in distances_from(self, 0):
             raise DisconnectedGraphError(
                 "graph is disconnected (all graphs here must be connected)"
@@ -138,12 +149,6 @@ class GridCoordinates:
         if not 0 <= v < self.m * self.n:
             raise GraphError(f"vertex {v} outside {self.m}x{self.n} grid")
         return v // self.n + 1, v % self.n + 1
-
-    def row_vertices(self, i: int) -> tuple[int, ...]:
-        return tuple(self.vertex(i, j) for j in range(1, self.n + 1))
-
-    def column_vertices(self, j: int) -> tuple[int, ...]:
-        return tuple(self.vertex(i, j) for i in range(1, self.m + 1))
 
 
 # ======================================================================

@@ -16,10 +16,10 @@ to bring in the colors still missing from 1..r.  Both cut only subtrees
 without a solution, so the results are those of the plain search.
 
 A search takes only the AP table, which fixes n and k, and r.  The engine is
-one generator, _search.  The first-solution, streamed and list operations
-below all read it and differ only in how many solutions they take and what
-they return them as.  compute_aw writes a witness with fewer than k colors in
-closed form, without a search.
+one generator, _search, read only by the stream iter_rainbow_free_colorings.
+The first-solution and list operations read that stream and build each
+Coloring through its checked constructor.  compute_aw writes a witness with
+fewer than k colors in closed form, without a search.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[list[int]]:
     against the budget, leaves and cut nodes included.
 
     A leaf is yielded only when top == r: its colors are in restricted-growth
-    form and reach r, so each result is an exact r-coloring.  The public
-    operations below rely on that to build their Colorings unchecked.
+    form and reach r, so each result is an exact r-coloring.
     """
     k = table.k
     n = table.n
@@ -184,11 +183,6 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[list[int]]:
 # ======================================================================
 
 
-def _validate_search_args(table: ApTable, r: int) -> None:
-    if not 1 <= r <= table.n:
-        raise ValueError(f"need 1 <= r <= n, got r={r} with n={table.n}")
-
-
 def exists_rainbow_free_coloring(
     table: ApTable,
     r: int,
@@ -199,9 +193,8 @@ def exists_rainbow_free_coloring(
 
     Raises BudgetExceededError once this call enters more than budget nodes.
     """
-    _validate_search_args(table, r)
-    for cols in _search(table, r, budget):
-        return Coloring._of_exact(tuple(cols), r)
+    for colors in iter_rainbow_free_colorings(table, r, budget=budget):
+        return Coloring(colors, r)
     return None
 
 
@@ -218,7 +211,8 @@ def iter_rainbow_free_colorings(
     BudgetExceededError from the read on which more than budget nodes have
     been entered.
     """
-    _validate_search_args(table, r)
+    if not 1 <= r <= table.n:
+        raise ValueError(f"need 1 <= r <= n, got r={r} with n={table.n}")
     return map(tuple, _search(table, r, budget))
 
 
@@ -234,8 +228,7 @@ def enumerate_rainbow_free_colorings(
     avoiding rainbow k-APs (the relabeling action is free).  Raises
     BudgetExceededError once this call enters more than budget nodes.
     """
-    of_exact = Coloring._of_exact
-    return [of_exact(c, r) for c in iter_rainbow_free_colorings(table, r, budget=budget)]
+    return [Coloring(c, r) for c in iter_rainbow_free_colorings(table, r, budget=budget)]
 
 
 def per_r_verdicts(k: int, n: int, aw: int) -> tuple[tuple[int, bool], ...]:

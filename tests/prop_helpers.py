@@ -14,6 +14,7 @@ from itertools import combinations, permutations, product as iproduct
 from awgraph import (
     Coloring,
     Graph,
+    GridCoordinates,
     all_pairs_distances,
     brute_force_k_aps,
     build_complete,
@@ -26,8 +27,19 @@ from awgraph.graphs import DisconnectedGraphError, GraphError, distances_from
 
 
 # ======================================================================
-# Helpers: subgraphs, a graph catalog, polychromatic paths, canonical forms
+# Helpers: grid lines, subgraphs, a graph catalog, polychromatic paths,
+# canonical forms
 # ======================================================================
+
+
+def row_vertices(coords: GridCoordinates, i: int) -> tuple[int, ...]:
+    """The vertices of grid row i, left to right."""
+    return tuple(coords.vertex(i, j) for j in range(1, coords.n + 1))
+
+
+def column_vertices(coords: GridCoordinates, j: int) -> tuple[int, ...]:
+    """The vertices of grid column j, top to bottom."""
+    return tuple(coords.vertex(i, j) for i in range(1, coords.m + 1))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -290,7 +302,7 @@ def check_monochromatic_lines(colors, m: int, n: int) -> list[str]:
     _, coords = build_grid(m, n)
     bad = []
     for i in range(1, m + 1):
-        row = {colors[v] for v in coords.row_vertices(i)}
+        row = {colors[v] for v in row_vertices(coords, i)}
         if len(row) != 1:
             continue
         above = {colors[coords.vertex(a, b)] for a in range(1, i) for b in range(1, n + 1)}
@@ -299,7 +311,7 @@ def check_monochromatic_lines(colors, m: int, n: int) -> list[str]:
             if len(side | row) > 2:
                 bad.append(f"mono row {i} color {row} sees {side} {name}")
     for j in range(1, n + 1):
-        col = {colors[v] for v in coords.column_vertices(j)}
+        col = {colors[v] for v in column_vertices(coords, j)}
         if len(col) != 1:
             continue
         left = {colors[coords.vertex(a, b)] for a in range(1, m + 1) for b in range(1, j)}

@@ -25,9 +25,11 @@ from awgraph import (
     parse_graph,
 )
 from prop_helpers import (
+    column_vertices,
     induced_subgraph,
     is_isometric_subgraph,
     random_connected_graph,
+    row_vertices,
     small_corpus,
 )
 
@@ -72,6 +74,7 @@ def test_graph_invariants_enforced():
         (2, ((2,), ()), "neighbor 2 of 0 out of range"),
         (3, ((2, 1), (0,), (0,)), "row 0 not strictly sorted"),
         (2, ((1,), ()), "edge 0-1 missing its reverse"),
+        (4, ((1,), (0, 2), (1, 3), (1,)), "edge 2-3 missing its reverse"),
     ):
         with pytest.raises(GraphError, match=message):
             Graph(n, rows)
@@ -239,7 +242,7 @@ def test_distances_match_networkx():
 
 def test_induced_subgraph_relabels():
     g, coords = build_grid(2, 3)
-    row = coords.row_vertices(1)
+    row = row_vertices(coords, 1)
     assert induced_subgraph(g, row) == build_path(3)
     with pytest.raises(DisconnectedGraphError):
         induced_subgraph(build_path(3), [0, 2])
@@ -252,9 +255,9 @@ def test_induced_subgraph_relabels():
 def test_is_isometric_subgraph():
     g, coords = build_grid(3, 4)
     dist = all_pairs_distances(g)
-    assert is_isometric_subgraph(g, coords.row_vertices(2), dist)
-    assert is_isometric_subgraph(g, coords.column_vertices(3), dist)
-    sub = coords.row_vertices(1) + coords.row_vertices(2)
+    assert is_isometric_subgraph(g, row_vertices(coords, 2), dist)
+    assert is_isometric_subgraph(g, column_vertices(coords, 3), dist)
+    sub = row_vertices(coords, 1) + row_vertices(coords, 2)
     assert is_isometric_subgraph(g, sub, dist)
     assert is_isometric_subgraph(g, range(g.n), dist)
     # disconnected induced subgraph

@@ -228,10 +228,10 @@ def test_canonical_count_times_factorial():
 
 
 def test_search_results_pass_the_checked_constructor():
-    # Search results are built without Coloring's exactness check.  Each must
-    # be one the checked constructor accepts and equals, canonical and
-    # hashable like it, on every connected atlas graph on 1-6 vertices and
-    # every grid up to 3x4, at k = 3 and 4 and every r.
+    # On every connected atlas graph on 1-6 vertices and every grid up to
+    # 3x4, at k = 3 and 4 and every r: the first solution is the first one
+    # enumerated, and each result is exact, canonical and equal and hashable
+    # like a Coloring rebuilt through the checked constructor.
     graphs = [
         Graph.from_edges(ag.number_of_nodes(), sorted(tuple(sorted(e)) for e in ag.edges()))
         for ag in networkx.graph_atlas_g()
@@ -331,6 +331,8 @@ def test_argument_validation():
     for bad_r in (0, -1, 7):
         with pytest.raises(ValueError):
             exists_rainbow_free_coloring(table, bad_r)
+        with pytest.raises(ValueError):
+            enumerate_rainbow_free_colorings(table, bad_r)
         # Checked on the call, before the iterator is read.
         with pytest.raises(ValueError):
             iter_rainbow_free_colorings(table, bad_r)

@@ -10,9 +10,10 @@ An ApTable is built in one of two forms and derives the other on first
 access: the sorted vertex sets, or the lists the search reads, which group
 the APs by their second-largest vertex.  enumerate_k_aps builds the grouped
 lists at k = 3 and the sets at every other k; brute_force_k_aps builds the
-sets.  The ArithmeticProgression objects, with one realizing ordering each,
-are built from the sets on first access to its aps.  The ordering is fixed
-by one rule per k:
+sets.  Each ArithmeticProgression is named from its own vertex set and
+distances, with one realizing ordering: ApTable.aps names every set on
+first access, and find_rainbow_ap names only the one it returns.  The
+ordering is fixed by one rule per k:
 
 - k = 3: the smallest member equidistant from the other two goes in the
   middle, with the two ends ascending;
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations
 
 from .errors import BudgetExceededError
@@ -99,26 +100,13 @@ class ApTable:
 
     @cached_property
     def aps(self) -> tuple[ArithmeticProgression, ...]:
-        if not self.sets:
-            return ()
-        rows = self.dist
-        if self.k == 3:
-            witnesses = [_middle_first(vs, rows) for vs in self.sets]
-        else:
-            # The walk finds each set's least ordering first.  One more walk
-            # of the graph costs about what enumerating did; a walk per set,
-            # over its own k x k distances, took about twice as long on
-            # grids 6x8 and 8x10 at k = 5.
-            first: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for seq in _orderings(rows, self.k):
-                key = tuple(sorted(seq))
-                if key not in first:
-                    first[key] = tuple(seq)
-            witnesses = [first[vs] for vs in self.sets]
-        return tuple(
-            ArithmeticProgression(vs, w, rows[w[0]][w[1]])
-            for vs, w in zip(self.sets, witnesses)
-        )
+        return tuple(map(partial(_named, self.k, self.dist), self.sets))
+
+
+def _named(k: int, rows, vs: tuple[int, ...]) -> ArithmeticProgression:
+    """The AP on the vertex set vs, with the ordering the module's rule gives it."""
+    w = _middle_first(vs, rows) if k == 3 else _least_ordering(vs, rows)
+    return ArithmeticProgression(vs, w, rows[w[0]][w[1]])
 
 
 def _middle_first(vs: tuple[int, int, int], rows) -> tuple[int, int, int]:
@@ -129,6 +117,12 @@ def _middle_first(vs: tuple[int, int, int], rows) -> tuple[int, int, int]:
     if rows[b][a] == rows[b][c]:
         return vs
     return (a, c, b)
+
+
+def _least_ordering(vs: tuple[int, ...], rows) -> tuple[int, ...]:
+    """The least constant-step ordering of the AP vs: the first _orderings finds in vs alone."""
+    sub = [[rows[a][b] for b in vs] for a in vs]
+    return tuple(vs[i] for i in next(_orderings(sub, len(vs))))
 
 
 def _orderings(rows, k: int):
@@ -339,10 +333,11 @@ def _bipartite(rings: list[list[int]]) -> bool:
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:
     """First rainbow AP in table order, or None when the coloring is rainbow-free.
 
-    Scans the vertex sets, so table.aps is built only when an AP is found.
+    Scans the vertex sets and names only the set it returns; table.aps is
+    never built.
     """
     k = table.k
-    for i, vs in enumerate(table.sets):
+    for vs in table.sets:
         if len({colors[v] for v in vs}) == k:
-            return table.aps[i]
+            return _named(k, table.dist, vs)
     return None

@@ -190,7 +190,7 @@ def test_witness_orderings_follow_the_stated_rule():
     # permutation of the vertex set with a constant step.
     for name, g in small_corpus():
         dist = all_pairs_distances(g)
-        for k in (3, 4, 5):
+        for k in range(3, 8):
             for ap in enumerate_k_aps(dist, k).aps:
                 vs = ap.vertices
                 if k == 3:
@@ -241,12 +241,20 @@ def test_find_rainbow_ap():
     table = enumerate_k_aps(all_pairs_distances(g), 3)
     rainbow_free = Coloring((1, 1, 2, 3, 1, 1), 3)
     assert find_rainbow_ap(table, rainbow_free.colors) is None
-    # all-distinct colors: the first AP in table order is rainbow
+    # all-distinct colors: the first AP in table order is rainbow.  Only
+    # that AP is named, so table.aps stays unbuilt until read here.
     rainbow = tuple(range(1, 7))
     hit = find_rainbow_ap(table, rainbow)
-    assert hit is table.aps[0]
+    assert "aps" not in vars(table)
+    assert hit == table.aps[0]
     assert len({rainbow[v] for v in hit.vertices}) == 3
     assert find_rainbow_ap(table, (1, 1, 1, 1, 1, 1)) is None
+    g, _ = build_grid(3, 4)
+    for k in (4, 5):
+        table = enumerate_k_aps(all_pairs_distances(g), k)
+        hit = find_rainbow_ap(table, tuple(range(g.n)))
+        assert "aps" not in vars(table)
+        assert hit == table.aps[0], f"k={k}"
 
 
 def _capture_tables(monkeypatch):

@@ -43,7 +43,7 @@ from .search import (
     DEFAULT_NODE_BUDGET,
     compute_aw,
     enumerate_rainbow_free_colorings,  # unused here; perfbench's extremal-enum probe patches it
-    iter_rainbow_free_colorings,
+    iter_rainbow_free_changes,
 )
 
 EXIT_OK = 0
@@ -160,7 +160,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _coloring_line(coloring) -> str:
-    return next(coloring_lines([coloring.colors], coloring.r))
+    return next(coloring_lines([(0, coloring.colors)], coloring.r))
 
 
 def _coords_suffix(coords: GridCoordinates | None, vertices) -> str:
@@ -233,7 +233,7 @@ def cmd_extremal(args) -> int:
     table = enumerate_k_aps(all_pairs_distances(g), args.k)
     r = args.r
     # Every argument is checked here; the search runs as the rows are written.
-    solutions = iter_rainbow_free_colorings(table, r, budget=_budget_from(args))
+    solutions = iter_rainbow_free_changes(table, r, budget=_budget_from(args))
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
     print(f"r = {r}")

@@ -104,18 +104,29 @@ def parse_coloring(text: str) -> Coloring:
         raise ColoringFormatError(str(exc)) from None
 
 
-def coloring_lines(colorings, r: int):
-    """Yield each sequence of colors as one line of space-separated decimals, no newline.
+def coloring_lines(changes, r: int):
+    """Yield each coloring of a stream of (changed, colors) pairs as one line, no newline.
 
-    Every color must lie in 1..r.  Colors are looked up in one table of the
-    names of 0..r, so a color costs a list index rather than a str() call;
-    an enumeration prints many colorings of one r.
+    A line is the colors as space-separated decimals, each color in 1..r.
+    changed is the first vertex at which colors differs from the colors of
+    the pair before; it is 0 for the first pair and for a coloring that
+    shares nothing with the one before.  The text of every prefix of the
+    last line is kept, so a line costs its changed suffix colors[changed:],
+    one name lookup and one string append each, plus a copy of its bytes.
     """
     names = [str(c) for c in range(r + 1)]
-    for colors in colorings:
-        yield " ".join([names[c] for c in colors])
+    spaced = [name + " " for name in names]
+    texts = [""]  # texts[i] is the text of colors[:i], each color followed by a space
+    append = texts.append
+    for changed, colors in changes:
+        del texts[changed + 1:]
+        line = texts[changed]
+        for c in colors[changed:-1]:
+            line += spaced[c]
+            append(line)
+        yield line + names[colors[-1]]
 
 
 def coloring_to_text(coloring: Coloring) -> str:
     """Inverse of parse_coloring."""
-    return f"{coloring.n} {coloring.r}\n{next(coloring_lines([coloring.colors], coloring.r))}\n"
+    return f"{coloring.n} {coloring.r}\n{next(coloring_lines([(0, coloring.colors)], coloring.r))}\n"

@@ -16,16 +16,21 @@ to bring in the colors still missing from 1..r.  Both cut only subtrees
 without a solution, so the results are those of the plain search.
 
 A search takes only the AP table, which fixes n and k, and r.  The engine is
-one generator, _search, read only by the stream iter_rainbow_free_colorings.
-The first-solution and list operations read that stream and build each
-Coloring through its checked constructor.  compute_aw writes a witness with
-fewer than k colors in closed form, without a search.
+one generator, _search, read only by the stream iter_rainbow_free_changes.
+It yields each solution as a pair (changed, cols): cols is the search's own
+list of colors, and changed is the first vertex whose color differs from the
+solution before (0 for the first), so a reader that keeps the previous row
+need only redo cols[changed:].  iter_rainbow_free_colorings copies each cols
+into a tuple; the first-solution and list operations read that stream and
+build each Coloring through its checked constructor.  compute_aw writes a
+witness with fewer than k colors in closed form, without a search.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .aps import ApTable, enumerate_k_aps
 from .coloring import Coloring
@@ -57,12 +62,14 @@ class AwResult:
 # ======================================================================
 
 
-def _search(table: ApTable, r: int, budget: int) -> Iterator[list[int]]:
+def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int]]]:
     """Generate the canonical rainbow-free exact r-colorings in lex order.
 
-    Each solution is yielded as the search's own list of colors, which it
-    changes once resumed: a caller that keeps a solution copies it first.  A
-    caller that stops early expands no further node.
+    Each solution is yielded as a pair (changed, cols).  cols is the search's
+    own list of colors, which it changes once resumed: a caller that keeps a
+    solution copies it first.  changed is the first vertex at which cols
+    differs from the solution yielded before, and 0 for the first solution.
+    A caller that stops early expands no further node.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
     every vertex keeps a domain of colors it may still take.  Choosing a color
@@ -86,7 +93,11 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[list[int]]:
     against the budget, leaves and cut nodes included.
 
     A leaf is yielded only when top == r: its colors are in restricted-growth
-    form and reach r, so each result is an exact r-coloring.
+    form and reach r, so each result is an exact r-coloring.  Between two
+    yields every vertex from the lowest one backtracked to up to n - 1 takes
+    a new color, the lowest one a larger color than before, and no vertex
+    below it changes, so changed is the lowest vertex reached by backtracking
+    since the last yield.
     """
     k = table.k
     n = table.n
@@ -100,7 +111,7 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[list[int]]:
     tops = [0] * n
     frees = [0] * n
     nodes = 0
-    v = top = 0
+    v = top = changed = 0
     free = n  # unassigned vertices whose domain is unrestricted
     while True:
         nodes += 1
@@ -111,7 +122,8 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[list[int]]:
         allowed = 0
         if v == n:
             if top == r:
-                yield cols
+                yield changed, cols
+                changed = n
         elif r - top <= free:
             d = doms[v][v]
             allowed = d & ((1 << (top + 1 if top < r else r)) - 1)
@@ -122,6 +134,8 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[list[int]]:
                 if v == 0:
                     return
                 v -= 1
+                if v < changed:
+                    changed = v
                 allowed = untried[v]
             low = allowed & -allowed
             allowed ^= low
@@ -198,6 +212,26 @@ def exists_rainbow_free_coloring(
     return None
 
 
+def iter_rainbow_free_changes(
+    table: ApTable,
+    r: int,
+    *,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> Iterator[tuple[int, list[int]]]:
+    """Each canonical rainbow-free exact r-coloring, in lex order, as (changed, cols).
+
+    cols is the search's own list, valid until the next read; changed is the
+    first vertex at which it differs from the solution before (0 for the
+    first).  r is checked on the call; the search runs as the iterator is
+    read, so memory does not grow with the number of solutions.  Raises
+    BudgetExceededError from the read on which more than budget nodes have
+    been entered.
+    """
+    if not 1 <= r <= table.n:
+        raise ValueError(f"need 1 <= r <= n, got r={r} with n={table.n}")
+    return _search(table, r, budget)
+
+
 def iter_rainbow_free_colorings(
     table: ApTable,
     r: int,
@@ -206,14 +240,10 @@ def iter_rainbow_free_colorings(
 ) -> Iterator[tuple[int, ...]]:
     """The colors of each canonical rainbow-free exact r-coloring, in lex order, as found.
 
-    r is checked on the call; the search runs as the iterator is read, so
-    memory does not grow with the number of solutions.  Raises
-    BudgetExceededError from the read on which more than budget nodes have
-    been entered.
+    The tuples of iter_rainbow_free_changes, with its checks and budget.
     """
-    if not 1 <= r <= table.n:
-        raise ValueError(f"need 1 <= r <= n, got r={r} with n={table.n}")
-    return map(tuple, _search(table, r, budget))
+    changes = iter_rainbow_free_changes(table, r, budget=budget)
+    return map(tuple, map(itemgetter(1), changes))
 
 
 def enumerate_rainbow_free_colorings(

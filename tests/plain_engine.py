@@ -16,8 +16,12 @@ from awgraph.aps import ApTable
 from awgraph.errors import BudgetExceededError
 
 
-def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, ...]]:
+def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Generate the canonical rainbow-free exact r-colorings in lex order.
+
+    Each solution is yielded as (changed, colors), changed being the first
+    vertex at which colors differs from the solution before, found by
+    comparing the two (0 for the first solution).
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
     depth v keeps vertex v's untried colors and the largest color used
@@ -37,6 +41,7 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, ...]]:
     tops = [0] * n
     nodes = 0
     v = top = 0
+    previous = None
     while True:
         nodes += 1
         if nodes > budget:
@@ -46,7 +51,13 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, ...]]:
         allowed = 0
         if v == n:
             if top == r:
-                yield tuple(map(int.bit_length, bits))
+                colors = tuple(map(int.bit_length, bits))
+                changed = 0
+                if previous is not None:
+                    while colors[changed] == previous[changed]:
+                        changed += 1
+                previous = colors
+                yield changed, colors
         elif r - top <= n - v:
             allowed = (1 << (top + 1 if top < r else r)) - 1
             # Fewer than k - 1 colors in use cannot make an AP rainbow.

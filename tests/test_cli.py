@@ -3,13 +3,23 @@
 import contextlib
 import errno
 import hashlib
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
-from awgraph import Coloring, graph_to_text, build_path, parse_coloring, verify_certificate
+from awgraph import (
+    Coloring,
+    all_pairs_distances,
+    build_path,
+    enumerate_k_aps,
+    enumerate_rainbow_free_colorings,
+    graph_to_text,
+    parse_coloring,
+    verify_certificate,
+)
 from awgraph.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -19,6 +29,7 @@ from awgraph.cli import (
     main,
     parse_graph_spec,
 )
+from prop_helpers import small_corpus
 
 
 def run(capsys, argv):
@@ -115,6 +126,28 @@ def test_extremal_solution_heavy_goldens(capsys):
         assert (code, err) == (EXIT_OK, ""), argv
         assert f"\ncount = {count}\n" in out, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_extremal_rows_match_a_naive_formatter(capsys, tmp_path):
+    # Each row is written from the previous row's prefix; it must read as the
+    # enumerated colors joined in full.  path:12 at r = 11 changes suffixes
+    # that cross from one-digit to two-digit colors.
+    cases = [("path:12", build_path(12), 12, 11)]
+    for i, (_, g) in enumerate(small_corpus()):
+        path = tmp_path / f"{i}.graph"
+        path.write_text(graph_to_text(g), encoding="utf-8")
+        cases += [(f"file:{path}", g, k, r) for k in (3, 4) for r in range(1, g.n + 1)]
+    for spec, g, k, r in cases:
+        table = enumerate_k_aps(all_pairs_distances(g), k)
+        colorings = enumerate_rainbow_free_colorings(table, r)
+        count = len(colorings)
+        want = (
+            f"graph {spec} n={g.n} m={g.m}\nk = {k}\nr = {r}\n"
+            + "".join("coloring: " + " ".join(map(str, c.colors)) + "\n" for c in colorings)
+            + f"count = {count}\nlabeled-count = {count} x {r}! = {count * math.factorial(r)}\n"
+        )
+        argv = ["extremal", "--graph", spec, "--k", str(k), "--r", str(r)]
+        assert run(capsys, argv) == (EXIT_OK, want, ""), (spec, k, r)
 
 
 def test_extremal_streams_in_memory_that_does_not_grow_with_the_count():
@@ -404,6 +437,19 @@ def test_budget_exit_codes(capsys):
         assert "count =" not in out
         assert out.count("\n") == 3 + rows
         assert err == f"error: search expanded more than {budget} nodes (r=2, n=12)\n"
+    # The enumeration enters 4,096 nodes.  At every 37th budget below that,
+    # the rows written are whole: each row is built from the one before.
+    for budget in range(1, 4096, 37):
+        code, out, _ = run(capsys, argv + ["--budget", str(budget)])
+        assert code == EXIT_BUDGET, budget
+        assert out.startswith(header) and full.startswith(out), budget
+        rows = out[len(header):].splitlines(keepends=True)
+        assert all(
+            row.startswith("coloring: ") and row.endswith("\n") and len(row.split()) == 13
+            for row in rows
+        ), budget
+        assert "count =" not in out, budget
+    assert run(capsys, argv + ["--budget", "4096"]) == (EXIT_OK, full, "")
 
     code, _, _ = run(
         capsys,

@@ -3,7 +3,8 @@
 Forward checking only cuts subtrees that hold no solution and keeps the
 branch order, so every result must match the plain reference engine in
 plain_engine.py exactly: the same lex-least witness, the same enumeration in
-the same order, the same aw and per-r verdicts.
+the same order, the same first changed vertex of each solution, the same aw
+and per-r verdicts.
 """
 
 import networkx
@@ -21,6 +22,7 @@ from awgraph import (
     exists_rainbow_free_coloring,
 )
 from awgraph import search
+from awgraph.search import iter_rainbow_free_changes
 import plain_engine
 from prop_helpers import small_corpus
 
@@ -43,6 +45,7 @@ def test_corpus_exists_and_enumerate_match(monkeypatch):
                 got, want = _both(monkeypatch, lambda: (
                     exists_rainbow_free_coloring(table, r),
                     enumerate_rainbow_free_colorings(table, r),
+                    [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, r)],
                 ))
                 assert got == want, (name, k, r)
 

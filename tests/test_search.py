@@ -20,7 +20,7 @@ from awgraph import (
     enumerate_rainbow_free_colorings,
     exists_rainbow_free_coloring,
 )
-from awgraph.search import iter_rainbow_free_colorings
+from awgraph.search import iter_rainbow_free_changes, iter_rainbow_free_colorings
 from prop_helpers import (
     assert_lex_sorted_canonical,
     brute_force_aw,
@@ -316,6 +316,21 @@ def test_streamed_colors_match_the_enumeration_and_the_first_solution():
                 assert streamed[:1] == ([] if first is None else [first.colors]), (name, k, r)
 
 
+def test_changed_is_the_first_vertex_that_differs_from_the_solution_before():
+    for name, g in small_corpus():
+        dist = all_pairs_distances(g)
+        for k in (2, 3, 4, 5):
+            table = enumerate_k_aps(dist, k)
+            for r in range(1, g.n + 1):
+                pairs = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, r)]
+                assert [changed for changed, _ in pairs[:1]] in ([], [0]), (name, k, r)
+                for (_, before), (changed, after) in zip(pairs, pairs[1:]):
+                    assert before[:changed] == after[:changed], (name, k, r, before, after)
+                    assert before[changed] != after[changed], (name, k, r, before, after)
+                colors = [cols for _, cols in pairs]
+                assert colors == list(iter_rainbow_free_colorings(table, r)), (name, k, r)
+
+
 def test_streamed_first_solution_needs_only_its_own_nodes():
     # The enumeration enters more than 32,767 nodes; the first solution, 18.
     table = _table(build_grid(4, 4)[0])
@@ -336,6 +351,8 @@ def test_argument_validation():
         # Checked on the call, before the iterator is read.
         with pytest.raises(ValueError):
             iter_rainbow_free_colorings(table, bad_r)
+        with pytest.raises(ValueError):
+            iter_rainbow_free_changes(table, bad_r)
     with pytest.raises(ValueError):
         compute_aw(g, 1)
 

@@ -13,7 +13,9 @@ once k - 1 members of an AP carry pairwise distinct colors its last member
 is restricted to those colors.  A choice that empties a domain is rejected,
 and a branch is cut when too few vertices with unrestricted domains remain
 to bring in the colors still missing from 1..r.  Both cut only subtrees
-without a solution, so the results are those of the plain search.
+without a solution, so the results are those of the plain search.  The last
+vertex restricts nothing, so its colors are tried as leaves in one inner
+loop, and k = 3 and k = 4 APs are read by loops of their own.
 
 A search takes only the AP table, which fixes n and k, and r.  The engine is
 one generator, _search, read only by the stream iter_rainbow_free_changes.
@@ -62,6 +64,10 @@ class AwResult:
 # ======================================================================
 
 
+def _over_budget(budget: int, r: int, n: int) -> BudgetExceededError:
+    return BudgetExceededError(f"search expanded more than {budget} nodes (r={r}, n={n})")
+
+
 def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int]]]:
     """Generate the canonical rainbow-free exact r-colorings in lex order.
 
@@ -79,7 +85,9 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     would make the AP rainbow.  A choice that empties a domain is rejected
     without entering the next vertex.  Neither the rejection nor the domains
     passed on depend on the order of the APs in a list.  Entering vertex v
-    allows its domain within 1..top+1 (at most r).
+    allows its domain within 1..top+1 (at most r).  An entry of ahead[v] is
+    (a, w) at k = 3 and ((a, b), w) at k = 4, each read by its own loop; a
+    larger k walks the tuple of lower members.
 
     doms[v] is the list of domains in force on entering v.  A choice at v
     passes doms[v] on to v + 1 unchanged, or a copy of it made at its first
@@ -92,43 +100,57 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     rainbow and the domains stay unrestricted.  Each node entered counts
     against the budget, leaves and cut nodes included.
 
-    A leaf is yielded only when top == r: its colors are in restricted-growth
-    form and reach r, so each result is an exact r-coloring.  Between two
-    yields every vertex from the lowest one backtracked to up to n - 1 takes
-    a new color, the lowest one a larger color than before, and no vertex
-    below it changes, so changed is the lowest vertex reached by backtracking
-    since the last yield.
+    No AP has n - 1 as its second-largest vertex, so ahead[n - 1] is empty
+    and a color chosen for the last vertex neither restricts a domain nor is
+    rejected.  Once entering n - 1 passes the cut, one inner loop walks its
+    allowed colors in ascending order as leaves: each counts as a node, and
+    each that brings top to r is yielded.  So a leaf's colors are in
+    restricted-growth form and reach r, and each result is an exact
+    r-coloring.  Between two yields every vertex from the lowest one
+    backtracked to up to n - 1 takes a new color, the lowest one a larger
+    color than before, and no vertex below it changes, so changed is the
+    lowest vertex reached by backtracking since the last yield, or n - 1
+    between two leaves of one walk.
     """
     k = table.k
     n = table.n
     full = (1 << r) - 1
     # With r < k no AP can restrict a domain, so none is read.
     ahead = table.ahead if r >= k else [()] * n
-    doms: list[list[int]] = [[full] * n] * (n + 1)  # doms[v > 0] is set on entering v
+    doms: list[list[int]] = [[full] * n] * n  # doms[v > 0] is set on entering v
     bits = [0] * n
     cols = [0] * n  # the chosen colors as ints, yielded at each solution
     untried = [0] * n
     tops = [0] * n
     frees = [0] * n
     nodes = 0
+    last = n - 1
     v = top = changed = 0
     free = n  # unassigned vertices whose domain is unrestricted
     while True:
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(
-                f"search expanded more than {budget} nodes (r={r}, n={n})"
-            )
+            raise _over_budget(budget, r, n)
         allowed = 0
-        if v == n:
-            if top == r:
-                yield changed, cols
-                changed = n
-        elif r - top <= free:
+        if r - top <= free:
             d = doms[v][v]
             allowed = d & ((1 << (top + 1 if top < r else r)) - 1)
-            tops[v] = top
-            frees[v] = free - 1 if d == full else free
+            if v == last:
+                # ahead[last] is empty: each color is a leaf, never rejected.
+                while allowed:
+                    low = allowed & -allowed
+                    allowed ^= low
+                    nodes += 1
+                    if nodes > budget:
+                        raise _over_budget(budget, r, n)
+                    c = low.bit_length()
+                    if c == r or top == r:
+                        cols[v] = c
+                        yield changed, cols
+                        changed = v
+            else:
+                tops[v] = top
+                frees[v] = free - 1 if d == full else free
         while True:
             while not allowed:
                 if v == 0:
@@ -154,6 +176,23 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
                     if ba != low:
                         d = dom[w]
                         nd = d & (ba | low)
+                        if nd != d:
+                            if not nd:
+                                break
+                            if d == full:
+                                free -= 1
+                            if dom is given:
+                                dom = given[:]
+                            dom[w] = nd
+                else:
+                    break
+            elif k == 4:
+                for (a, b), w in ahead[v]:
+                    ba = bits[a]
+                    bb = bits[b]
+                    if ba != bb and not (ba | bb) & low:
+                        d = dom[w]
+                        nd = d & (ba | bb | low)
                         if nd != d:
                             if not nd:
                                 break

@@ -282,7 +282,8 @@ def test_node_ceilings():
 # (graph, k, r, enumerate, nodes): the exact node count of one search.  A
 # node is every vertex assignment entered, leaves and pruned nodes included;
 # a color rejected because it empties a domain is not a node.  The plain
-# engine in plain_engine.py needs 2056, 552, 258, 1117, 7 and 1043.
+# engine in plain_engine.py needs 2056, 552, 258, 1117, 7, 1043, 5930, 4769,
+# 4096 and 2.
 NODE_COUNTS = [
     (build_grid(3, 4)[0], 3, 4, False, 34),  # nonexistence proof
     (build_grid(3, 4)[0], 3, 3, False, 30),
@@ -290,6 +291,10 @@ NODE_COUNTS = [
     (build_path(10), 4, 7, False, 389),
     (build_cycle(6), 2, 2, False, 2),
     (build_grid(2, 5)[0], 3, 3, True, 59),
+    (build_star(9), 4, 4, True, 2123),
+    (build_cycle(9), 4, 4, True, 991),
+    (build_path(12), 3, 2, True, 4096),  # every leaf of the last vertex counts
+    (build_path(1), 2, 1, True, 2),  # the first vertex is also the last
 ]
 
 
@@ -300,6 +305,32 @@ def test_node_counts_are_pinned():
         search(table, r, budget=nodes)
         with pytest.raises(BudgetExceededError):
             search(table, r, budget=nodes - 1)
+
+
+def test_budget_exits_yield_a_prefix_of_the_stream():
+    # star:7 at k = 4, r = 4 enters 288 nodes and yields 90 solutions, most of
+    # them as leaves of one parent, so a budget can run out between them.
+    table = _table(build_star(7), 4)
+    full = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, 4, budget=288)]
+    assert len(full) == 90
+    yielded = {}
+    for budget in range(1, 288):
+        got = []
+        with pytest.raises(BudgetExceededError):
+            for changed, cols in iter_rainbow_free_changes(table, 4, budget=budget):
+                got.append((changed, tuple(cols)))
+        assert got == full[: len(got)], budget
+        yielded[budget] = len(got)
+    assert [yielded[b] for b in (50, 100, 200, 287)] == [0, 2, 43, 89]
+
+
+def test_one_vertex_graph_is_first_and_last_vertex():
+    for k in (2, 3):
+        table = _table(build_path(1), k)
+        pairs = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, 1)]
+        assert pairs == [(0, (1,))], k
+        with pytest.raises(BudgetExceededError):
+            list(iter_rainbow_free_changes(table, 1, budget=1))
 
 
 def test_streamed_colors_match_the_enumeration_and_the_first_solution():

@@ -6,14 +6,14 @@ Orderings are existential: a vertex set is stored once even when several
 orderings (possibly with different d) realize it.  Degenerate progressions
 with repeated vertices are excluded throughout.
 
-An ApTable is built in one of two forms and derives the other on first
-access: the sorted vertex sets, or the lists the search reads, which group
-the APs by their second-largest vertex.  enumerate_k_aps builds the grouped
-lists at k = 3 and the sets at every other k; brute_force_k_aps builds the
-sets.  Each ArithmeticProgression is named from its own vertex set and
-distances, with one realizing ordering: ApTable.aps names every set on
-first access, and find_rainbow_ap names only the one it returns.  The
-ordering is fixed by one rule per k:
+An ApTable has one form at every k: the lists the search reads, which group
+the APs by their second-largest vertex.  enumerate_k_aps and
+brute_force_k_aps file each AP they find straight into them, so no table
+is sorted; its sorted vertex sets are a view built on first access.  Each
+ArithmeticProgression is named from its own vertex set and distances, with
+one realizing ordering: ApTable.aps names every set on first access, and
+find_rainbow_ap names only the one it returns.  The ordering is fixed by
+one rule per k:
 
 - k = 3: the smallest member equidistant from the other two goes in the
   middle, with the two ends ascending;
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import permutations
+from itertools import chain, permutations
 
 from .errors import BudgetExceededError
 
@@ -53,34 +53,19 @@ class ArithmeticProgression:
 class ApTable:
     """All k-APs of the graph whose distance rows are dist.
 
-    sets holds each AP's vertices as a sorted tuple, the tuples in
-    lexicographic order.  ahead[s] lists the APs whose second-largest vertex
-    is s, each as (smallest vertex, largest vertex) at k = 3 and as
-    (vertices below s, largest vertex) at every other k, in no fixed order.
-    A table is built from one of the two and derives the other on first
-    access; neither is changed after.  aps holds the APs of sets, in the
-    same order, as ArithmeticProgression objects whose witness follows the
-    module's ordering rule; it too is built on first access and then kept.
+    ahead[s] lists the APs whose second-largest vertex is s, in no fixed
+    order, as (smallest vertex, largest vertex) at k = 3 and as sorted
+    vertex tuples at every other k; a table is built as these lists and
+    never changes them.  The views sets (the sorted tuples in lexicographic
+    order) and aps (their ArithmeticProgression objects, named by the
+    module's ordering rule) are built on first access; no search or check
+    reads them.
     """
 
-    def __init__(
-        self,
-        k: int,
-        dist: tuple[tuple[int, ...], ...],
-        *,
-        sets: tuple[tuple[int, ...], ...] | None = None,
-        ahead: list[list[tuple]] | None = None,
-    ):
-        if (sets is None) == (ahead is None):
-            raise ValueError("an ApTable is built from exactly one of sets and ahead")
+    def __init__(self, k: int, dist: tuple[tuple[int, ...], ...], ahead: list[list[tuple]]):
         self.k = k
         self.dist = dist
-        # cached_property has no setter, so either form stored here is what
-        # its property returns, and the other form is derived from it.
-        if sets is None:
-            self.ahead = ahead
-        else:
-            self.sets = sets
+        self.ahead = ahead
 
     @property
     def n(self) -> int:
@@ -88,19 +73,18 @@ class ApTable:
 
     @cached_property
     def sets(self) -> tuple[tuple[int, ...], ...]:
-        # Only k = 3 tables are built without their sets.
-        return tuple(sorted((a, s, w) for s, pairs in enumerate(self.ahead) for a, w in pairs))
-
-    @cached_property
-    def ahead(self) -> list[list[tuple]]:
-        ahead: list[list[tuple]] = [[] for _ in range(self.n)]
-        for vs in self.sets:
-            ahead[vs[-2]].append((vs[0] if self.k == 3 else vs[:-2], vs[-1]))
-        return ahead
+        return tuple(sorted(_vertex_sets(self)))
 
     @cached_property
     def aps(self) -> tuple[ArithmeticProgression, ...]:
         return tuple(map(partial(_named, self.k, self.dist), self.sets))
+
+
+def _vertex_sets(table: ApTable):
+    """Each AP of table as its sorted vertex tuple, in no fixed order."""
+    if table.k == 3:
+        return ((a, s, w) for s, pairs in enumerate(table.ahead) for a, w in pairs)
+    return chain.from_iterable(table.ahead)
 
 
 def _named(k: int, rows, vs: tuple[int, ...]) -> ArithmeticProgression:
@@ -178,17 +162,17 @@ def enumerate_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     progression, kept only from its smallest middle and filed straight into
     ahead under its second-largest vertex, so no set is built or sorted.
     Every other k: each ordering that _orderings finds is reduced to its
-    sorted vertex set.
+    sorted vertex set, and each set is filed once, with no sort of the sets.
     """
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
-    n = len(dist)
-    if k > n:
-        return ApTable(k, dist, sets=())  # no k distinct vertices to order
+    ahead: list[list[tuple]] = [[] for _ in dist]
+    if k > len(dist):
+        return ApTable(k, dist, ahead)  # no k distinct vertices to order
     if k != 3:
-        found = {tuple(sorted(seq)) for seq in _orderings(dist, k)}
-        return ApTable(k, dist, sets=tuple(sorted(found)))
-    ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for vs in {tuple(sorted(seq)) for seq in _orderings(dist, k)}:
+            ahead[vs[-2]].append(vs)
+        return ApTable(k, dist, ahead)
     for b, row in enumerate(dist):
         rings: list[list[int]] = [[] for _ in range(max(row) + 1)]
         for a, d in enumerate(row):
@@ -214,7 +198,7 @@ def enumerate_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
                             ahead[c].append((a, b))
                         else:
                             ahead[b].append((a, c))
-    return ApTable(k, dist, ahead=ahead)
+    return ApTable(k, dist, ahead)
 
 
 def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
@@ -236,7 +220,10 @@ def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
         d = dist[tup[0]][tup[1]]
         if all(dist[tup[i]][tup[i + 1]] == d for i in range(1, k - 1)):
             found.add(tuple(sorted(tup)))
-    return ApTable(k, dist, sets=tuple(sorted(found)))
+    ahead: list[list[tuple]] = [[] for _ in range(n)]
+    for vs in found:
+        ahead[vs[-2]].append((vs[0], vs[2]) if k == 3 else vs)
+    return ApTable(k, dist, ahead)
 
 
 def scan_3aps(rings: list[list[int]], colors) -> tuple[int, ArithmeticProgression | None]:
@@ -331,13 +318,15 @@ def _bipartite(rings: list[list[int]]) -> bool:
 
 
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:
-    """First rainbow AP in table order, or None when the coloring is rainbow-free.
+    """The rainbow AP with the least vertex set, or None when the coloring is rainbow-free.
 
-    Scans the vertex sets and names only the set it returns; table.aps is
-    never built.
+    That is the first rainbow AP in table order.  Tests only the sets below
+    the least rainbow one so far and names only the one it returns; neither
+    table.sets nor table.aps is built.
     """
     k = table.k
-    for vs in table.sets:
-        if len({colors[v] for v in vs}) == k:
-            return _named(k, table.dist, vs)
-    return None
+    least = None
+    for vs in _vertex_sets(table):
+        if (least is None or vs < least) and len({colors[v] for v in vs}) == k:
+            least = vs
+    return None if least is None else _named(k, table.dist, least)

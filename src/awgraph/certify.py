@@ -221,7 +221,7 @@ def check_coloring(g: Graph, k: int, colors) -> tuple[int, ArithmeticProgression
     if k == 3:
         return scan_3aps(distance_rings(g), colors)
     table = enumerate_k_aps(all_pairs_distances(g), k)
-    return len(table.sets), find_rainbow_ap(table, colors)
+    return sum(map(len, table.ahead)), find_rainbow_ap(table, colors)
 
 
 def verify_certificate(text: str) -> VerificationReport:

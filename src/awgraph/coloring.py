@@ -13,6 +13,7 @@ the constructions and compute_aw's closed-form witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import AwgraphError
 
@@ -37,17 +38,20 @@ class Coloring:
             raise ColoringError(f"need r >= 1, got r={self.r}")
         if not self.colors:
             raise ColoringError("coloring of an empty vertex set")
-        # One set comparison in C accepts an exact coloring.  Anything else
-        # takes the per-vertex checks, which name the first bad vertex (a
-        # min/max range test would let a NaN color through).
+        # Once r colors are in use (so r <= n), one set comparison in C accepts
+        # an exact coloring.  Anything else takes the per-vertex checks, which
+        # name the first bad vertex (a min/max range test would let NaN through).
         used = set(self.colors)
-        if used != set(range(1, self.r + 1)):
+        if len(used) != self.r or used != set(range(1, self.r + 1)):
             for v, c in enumerate(self.colors):
                 if not 1 <= c <= self.r:
                     raise ColoringError(f"color {c} at vertex {v} outside 1..{self.r}")
-            if len(used) != self.r:
-                missing = sorted(set(range(1, self.r + 1)) - used)
-                raise ColoringError(f"not exact: colors {missing} unused")
+            # Every color is in 1..r, so some are unused: the first ten are
+            # named, read from 1..n + 11 at most, and any more as "...".
+            unused = (c for c in range(1, self.r + 1) if c not in used)
+            named = ", ".join(map(str, islice(unused, 10)))
+            more = ", ..." if next(unused, None) else ""
+            raise ColoringError(f"not exact: colors [{named}{more}] unused")
 
     @property
     def n(self) -> int:

@@ -86,8 +86,8 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     without entering the next vertex.  Neither the rejection nor the domains
     passed on depend on the order of the APs in a list.  Entering vertex v
     allows its domain within 1..top+1 (at most r).  An entry of ahead[v] is
-    (a, w) at k = 3 and ((a, b), w) at k = 4, each read by its own loop; a
-    larger k walks the tuple of lower members.
+    (a, w) at k = 3 and the sorted vertex tuple vs, ending in v and w, at
+    every other k; k = 3 and k = 4 have loops of their own, others walk vs.
 
     doms[v] is the list of domains in force on entering v.  A choice at v
     passes doms[v] on to v + 1 unchanged, or a copy of it made at its first
@@ -187,7 +187,7 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
                 else:
                     break
             elif k == 4:
-                for (a, b), w in ahead[v]:
+                for a, b, _, w in ahead[v]:
                     ba = bits[a]
                     bb = bits[b]
                     if ba != bb and not (ba | bb) & low:
@@ -204,14 +204,19 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
                 else:
                     break
             else:
-                for lower, w in ahead[v]:
+                # Until v is assigned only this loop reads bits[v].  -1 meets every
+                # color, so a walk of vs stops at v, and reaches v exactly when
+                # low and the members below v carry pairwise distinct colors.
+                bits[v] = -1
+                for vs in ahead[v]:
                     seen = low
-                    for u in lower:
+                    for u in vs:
                         bu = bits[u]
                         if seen & bu:
                             break
                         seen |= bu
-                    else:
+                    if u == v:
+                        w = vs[-1]
                         d = dom[w]
                         nd = d & seen
                         if nd != d:

@@ -14,7 +14,6 @@ import awgraph.cli
 from awgraph import (
     VERDICT_WITNESS_INVALID,
     VERDICT_WITNESS_VALID,
-    ApTable,
     AwResult,
     BudgetExceededError,
     Coloring,
@@ -27,6 +26,7 @@ from awgraph import (
     build_path,
     build_star,
     cartesian_product,
+    check_coloring,
     compute_aw,
     construct_two_red_coloring,
     distance_rings,
@@ -83,10 +83,6 @@ def test_k_validation():
         enumerate_k_aps(dist, 1)
     with pytest.raises(ValueError):
         brute_force_k_aps(dist, 0)
-    with pytest.raises(ValueError):
-        ApTable(3, dist)  # neither form
-    with pytest.raises(ValueError):
-        ApTable(3, dist, sets=(), ahead=[[], [], []])  # both forms
 
 
 def test_brute_force_guard():
@@ -96,18 +92,21 @@ def test_brute_force_guard():
 
 
 def _regrouped(sets, n, k):
-    """The oracle's sets filed under their second-largest vertex, one multiset per vertex."""
+    """The oracle's sets filed under their second-largest vertex, one multiset per vertex.
+
+    A set is filed as (smallest, largest) at k = 3 and as the whole tuple at
+    every other k.
+    """
     lists = [Counter() for _ in range(n)]
     for vs in sets:
-        lists[vs[-2]][vs[0] if k == 3 else vs[:-2], vs[-1]] += 1
+        lists[vs[-2]][(vs[0], vs[-1]) if k == 3 else vs] += 1
     return lists
 
 
 def test_enumerate_matches_brute_force():
-    # The central oracle equivalence, for both forms of a table: a k = 3
-    # table is built as the lists the search reads and derives its sets,
-    # every other table is built as sets and derives the lists.  Each
-    # vertex's list is compared as a multiset, since its order is free.
+    # The central oracle equivalence: every table is built as the lists the
+    # search reads and derives its sorted sets only when they are read.
+    # Each vertex's list is compared as a multiset, since its order is free.
     # Empty tables are included: k = n + 1, where there are no k distinct
     # vertices, and star:4 at k = 4, whose leaves are pairwise at distance 2.
     cases = [(name, g, k) for name, g in small_corpus() for k in (2, 3, 4, 5, g.n + 1)]
@@ -120,8 +119,7 @@ def test_enumerate_matches_brute_force():
     for name, g, k in cases:
         dist = all_pairs_distances(g)
         fast = enumerate_k_aps(dist, k)
-        if k == 3 <= g.n:
-            assert "sets" not in vars(fast), name
+        assert "sets" not in vars(fast), name
         slow = brute_force_k_aps(dist, k).sets
         assert [Counter(entries) for entries in fast.ahead] == _regrouped(
             slow, g.n, k
@@ -281,9 +279,9 @@ class _CountedReads(list):
 
 
 def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, tmp_path):
-    # Only a reported AP needs an ordering: the search reads the grouped
-    # lists a k = 3 table is built as, and a check that finds no rainbow AP
-    # reads the vertex sets; table.aps stays unbuilt.  A k = 3 coloring is
+    # Only a reported AP needs an ordering: the search and a check that
+    # finds no rainbow AP read the grouped lists a table is built as, and
+    # neither table.sets nor table.aps is built.  A k = 3 coloring is
     # checked from distance rings, with no table, whether or not it has a
     # rainbow AP.
     g, _ = build_grid(2, 3)
@@ -298,7 +296,7 @@ def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, 
     assert "sets" not in vars(table) and "aps" not in vars(table)
     assert enumerate_rainbow_free_colorings(table, 3)
     assert find_rainbow_ap(table, (1, 1, 2, 3, 1, 1)) is None
-    assert "aps" not in vars(table)
+    assert "sets" not in vars(table) and "aps" not in vars(table)
 
     built = _capture_tables(monkeypatch)
     report = verify_certificate(emit_certificate(compute_aw(g, 3), g))
@@ -326,8 +324,8 @@ def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, 
 
     report = verify_certificate(emit_certificate(compute_aw(g, 4), g))
     assert report.verdict == VERDICT_WITNESS_VALID, report.notes
-    assert len(built) == 1 and built[0].k == 4 and built[0].sets
-    assert "aps" not in vars(built[0]) and "ahead" not in vars(built[0])
+    assert len(built) == 1 and built[0].k == 4 and any(built[0].ahead)
+    assert "sets" not in vars(built[0]) and "aps" not in vars(built[0])
 
 
 def test_large_grid_certificate_counts_every_progression(monkeypatch):
@@ -344,6 +342,66 @@ def test_large_grid_certificate_counts_every_progression(monkeypatch):
     assert report.notes[-1] == (
         f"witness checked: exact 3-coloring, rainbow-free against all {count} 3-APs"
     )
+
+
+def test_check_coloring_matches_the_oracle_at_every_k_but_3():
+    # check_coloring at k = 2, 4 and 5 against brute_force_k_aps: the count,
+    # and the first rainbow AP of the oracle's aps, ordering and d included.
+    # The ordering is also checked on its own, as the least permutation of
+    # the set with a constant step.  Each graph gets seeded colorings: with
+    # k - 1 colors, which no AP can be rainbow under, uniform ones with k
+    # and k + 1 colors, ones that give all but a few vertices color 1, and,
+    # where the search finds one, a rainbow-free k-coloring with its colors
+    # permuted and a near miss that recolors one of its vertices.  The
+    # table's lists are in no fixed order, so the colorings whose least
+    # rainbow set heads none of them show that the least set is found,
+    # not the first one read.
+    rng = random.Random(27)
+    graphs = small_corpus() + [
+        (f"grid:{m}x{n}", build_grid(m, n)[0]) for m, n in ((3, 3), (2, 6), (3, 4))
+    ]
+    outcomes = Counter()
+    for name, g in graphs:
+        dist = all_pairs_distances(g)
+        for k in (2, 4, 5):
+            if k > g.n:
+                continue
+            oracle = brute_force_k_aps(dist, k)
+            table = enumerate_k_aps(dist, k)
+            heads = {entries[0] for entries in table.ahead if entries}
+            colorings = [[rng.randint(1, k - 1) for _ in range(g.n)]]
+            for r in (k, k + 1):
+                colorings.append([rng.randint(1, r) for _ in range(g.n)])
+                sparse = [1] * g.n
+                for c in range(2, r + 1):
+                    sparse[rng.randrange(g.n)] = c
+                colorings.append(sparse)
+            found = exists_rainbow_free_coloring(table, k)
+            if found is not None:
+                relabel = rng.sample(range(1, k + 1), k)
+                free = [relabel[c - 1] for c in found.colors]
+                near = list(free)
+                near[rng.randrange(g.n)] = rng.randint(1, k)
+                colorings += [free, near]
+            for colors in colorings:
+                hit = next(
+                    (ap for ap in oracle.aps if len({colors[v] for v in ap.vertices}) == k),
+                    None,
+                )
+                assert check_coloring(g, k, colors) == (len(oracle.aps), hit), (
+                    f"{name} k={k} {colors}"
+                )
+                if hit is not None:
+                    steps = [
+                        p
+                        for p in permutations(hit.vertices)
+                        if all(dist[x][y] == hit.d for x, y in zip(p, p[1:]))
+                    ]
+                    assert hit.witness == min(steps), f"{name} k={k} {colors}"
+                outcomes[hit is not None, hit is not None and hit.vertices not in heads] += 1
+    # Both verdicts occur, and many hits head none of the table's lists.
+    assert outcomes[False, False] > 100 and outcomes[True, False] > 50, outcomes
+    assert outcomes[True, True] > 50, outcomes
 
 
 def _ring_check_graphs():

@@ -132,6 +132,21 @@ def test_non_exact_witness_is_invalid_but_parse_rejects():
         parse_certificate(text)
 
 
+def test_witness_with_huge_r_is_rejected_at_once():
+    # A WITNESS that declares r = 10^9 for six vertices is refused without
+    # building 1..r: parse_certificate raises, and the checker, which tests
+    # r against the claim first, calls the witness invalid.
+    text = _swap(_grid23_text(), "6 3\n1 1 2 3 1 1", "6 1000000000\n1 1 2 3 1 1")
+    with pytest.raises(CertificateFormatError) as info:
+        parse_certificate(text)
+    assert str(info.value) == (
+        "bad WITNESS section: not exact: colors [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, ...] unused"
+    )
+    report = verify_certificate(text)
+    assert report.verdict == VERDICT_WITNESS_INVALID
+    assert report.notes[-1] == "witness declares r=1000000000, expected claimed aw - 1 = 3"
+
+
 def test_shifted_claim_is_inconsistent():
     for wrong in ("3", "5"):
         text = _swap(_grid23_text(), "CLAIMED_AW\n4", f"CLAIMED_AW\n{wrong}")

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -398,6 +399,23 @@ def test_usage_errors(capsys, tmp_path):
     inexact.write_text("3 3\n1 2 2\n", encoding="utf-8")
     argv = ["verify", "--graph", "path:3", "--k", "3", "--coloring", str(inexact)]
     assert run(capsys, argv) == (EXIT_USAGE, "", "error: not exact: colors [3] unused\n")
+
+    # A declared r of 10^9 is refused in time and memory linear in n, with
+    # a one-line message: 1..r is never built or listed.
+    huge = tmp_path / "huge.coloring"
+    huge.write_text("3 1000000000\n1 2 3\n", encoding="utf-8")
+    argv = ["verify", "--graph", "path:3", "--k", "3", "--coloring", str(huge)]
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: not exact: colors [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, ...] unused\n"
+    assert peak < 1 << 20, peak
 
 
 def test_usage_error_messages(capsys):

@@ -19,6 +19,11 @@ def test_coloring_validation():
     for colors, r, message in (
         ((1, 5, 0), 3, "color 5 at vertex 1 outside 1..3"),
         ((1, 3), 3, "not exact: colors [2] unused"),
+        # Only colors in use are compared against 1..r, so a declared r far
+        # above n costs O(n), and at most ten unused colors are named.
+        ((1, 2, 3), 13, "not exact: colors [4, 5, 6, 7, 8, 9, 10, 11, 12, 13] unused"),
+        ((1, 2, 3), 14, "not exact: colors [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, ...] unused"),
+        ((2, 4, 6, 8), 10**9, "not exact: colors [1, 3, 5, 7, 9, 10, 11, 12, 13, 14, ...] unused"),
         ((0, 1), 1, "color 0 at vertex 0 outside 1..1"),
         ((1, 2), 1, "color 2 at vertex 1 outside 1..1"),
         ((1, float("nan")), 2, "color nan at vertex 1 outside 1..2"),

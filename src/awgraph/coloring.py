@@ -28,7 +28,10 @@ class ColoringFormatError(ColoringError):
 
 @dataclass(frozen=True, slots=True)
 class Coloring:
-    """Exact (surjective) r-coloring of vertices 0..n-1 with colors 1..r."""
+    """Exact (surjective) r-coloring of vertices 0..n-1 with colors 1..r.
+
+    Each color is an int; a bool, or a float such as 1.0, is rejected.
+    """
 
     colors: tuple[int, ...]
     r: int
@@ -38,13 +41,14 @@ class Coloring:
             raise ColoringError(f"need r >= 1, got r={self.r}")
         if not self.colors:
             raise ColoringError("coloring of an empty vertex set")
-        # Once r colors are in use (so r <= n), one set comparison in C accepts
-        # an exact coloring.  Anything else takes the per-vertex checks, which
-        # name the first bad vertex (a min/max range test would let NaN through).
+        # Once r int colors are in use (so r <= n), one set comparison in C
+        # accepts an exact coloring.  Anything else takes the per-vertex checks,
+        # which name the first bad vertex (a min/max test would let NaN through).
         used = set(self.colors)
-        if len(used) != self.r or used != set(range(1, self.r + 1)):
+        exact = len(used) == self.r and used == set(range(1, self.r + 1))
+        if not exact or not all(type(c) is int for c in used):
             for v, c in enumerate(self.colors):
-                if not 1 <= c <= self.r:
+                if type(c) is not int or not 1 <= c <= self.r:
                     raise ColoringError(f"color {c} at vertex {v} outside 1..{self.r}")
             # Every color is in 1..r, so some are unused: the first ten are
             # named, read from 1..n + 11 at most, and any more as "...".

@@ -187,23 +187,17 @@ def build_star(n: int) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: vertex (a, b) becomes a*h.n + b.
 
-    (a, b) ~ (a', b') iff the pairs agree in one coordinate and are adjacent
-    in the other.  Connectedness of both factors makes the product connected.
+    The row of (a, b) is (a', b) for each neighbour a' of a in g with
+    (a, b') for each neighbour b' of b in h, sorted.  Connectedness of both
+    factors makes the product connected.
     """
     hn = h.n
-    edges: list[tuple[int, int]] = []
-    for a in range(g.n):
-        base = a * hn
-        for b in range(hn):
-            for b2 in h.adjacency[b]:
-                if b < b2:
-                    edges.append((base + b, base + b2))
-        for a2 in g.adjacency[a]:
-            if a < a2:
-                base2 = a2 * hn
-                for b in range(hn):
-                    edges.append((base + b, base2 + b))
-    return Graph.from_edges(g.n * hn, edges)
+    rows = tuple(
+        tuple(sorted([a2 * hn + b for a2 in g_row] + [a * hn + b2 for b2 in h_row]))
+        for a, g_row in enumerate(g.adjacency)
+        for b, h_row in enumerate(h.adjacency)
+    )
+    return Graph(g.n * hn, rows)
 
 
 def build_grid(m: int, n: int) -> tuple[Graph, GridCoordinates]:

@@ -27,6 +27,11 @@ def test_coloring_validation():
         ((0, 1), 1, "color 0 at vertex 0 outside 1..1"),
         ((1, 2), 1, "color 2 at vertex 1 outside 1..1"),
         ((1, float("nan")), 2, "color nan at vertex 1 outside 1..2"),
+        # A color that equals an int but is not one is named like one out of
+        # range, whether or not the set of colors equals 1..r.
+        ((1.0, 2), 2, "color 1.0 at vertex 0 outside 1..2"),
+        ((1, 1.5, 2), 2, "color 1.5 at vertex 1 outside 1..2"),
+        ((True, 2), 2, "color True at vertex 0 outside 1..2"),
         ((), 0, "need r >= 1, got r=0"),
         ((), 1, "coloring of an empty vertex set"),
     ):

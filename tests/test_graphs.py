@@ -220,8 +220,8 @@ def _assert_rows_and_rings(g, h):
 
 def test_distances_match_networkx():
     # Every connected atlas graph on 1..7 vertices, every grid up to 8x8
-    # with networkx building the grid itself, then paths and cycles up to
-    # 40 vertices, complete graphs and stars.
+    # with networkx building the grid itself, then products of other
+    # factors, paths and cycles up to 40 vertices, complete graphs and stars.
     atlas = [ag for ag in nx.graph_atlas_g() if ag.number_of_nodes() and nx.is_connected(ag)]
     assert len(atlas) == 1 + 1 + 2 + 6 + 21 + 112 + 853
     for ag in atlas:
@@ -231,6 +231,16 @@ def test_distances_match_networkx():
         for n in range(1, 9):
             h = nx.relabel_nodes(nx.grid_2d_graph(m, n), lambda ij: ij[0] * n + ij[1])
             _assert_rows_and_rings(build_grid(m, n)[0], h)
+    # Every ordered pair from the small corpus and a 1-vertex factor with at
+    # most 24 product vertices, against networkx's product relabelled
+    # (a, b) -> a*|H| + b.  Equal distance rows mean equal edges.
+    factors = [(g, nx.Graph(g.edges())) for _, g in small_corpus()]
+    factors.append((build_path(1), nx.path_graph(1)))
+    for g, gx in factors:
+        for h, hx in factors:
+            if g.n * h.n <= 24:
+                px = nx.relabel_nodes(nx.cartesian_product(gx, hx), lambda ab: ab[0] * h.n + ab[1])
+                _assert_rows_and_rings(cartesian_product(g, h), px)
     for n in range(1, 41):
         _assert_rows_and_rings(build_path(n), nx.path_graph(n))
         _assert_rows_and_rings(build_complete(n), nx.complete_graph(n))

@@ -295,6 +295,10 @@ NODE_COUNTS = [
     (build_cycle(9), 4, 4, True, 991),
     (build_path(12), 3, 2, True, 4096),  # every leaf of the last vertex counts
     (build_path(1), 2, 1, True, 2),  # the first vertex is also the last
+    # aw(C_9, 3) = 4.  C_9 is not bipartite: its equilateral 3-sets, in which
+    # every member is a middle, have odd d (the grids' have even d).
+    (build_cycle(9), 3, 4, False, 31),  # nonexistence proof
+    (build_cycle(9), 3, 3, True, 75),
 ]
 
 

@@ -12,12 +12,16 @@ validation error, 3 node budget exceeded.  --budget overrides the default
 node budget.  extremal writes each row as the search finds it, so on exit 3
 its stdout is a prefix of the full output.  aw --cert and construct --out
 write their file before they print, so on exit 2 stdout stays empty.
+
+main(argv) may be called any number of times in one process.  The parser
+is built on the first call, not on import, and every later call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -300,7 +304,13 @@ def _add_budget(sub) -> None:
     sub.add_argument("--budget", type=int, default=None, help="node budget per coloring search")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    parse_args only reads it and returns a new Namespace each time, so no
+    argument carries over from one main call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="awgraph",
         description="Anti-van der Waerden numbers of connected graphs by exhaustive search.",
@@ -351,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -30,13 +30,15 @@ class ColoringFormatError(ColoringError):
 class Coloring:
     """Exact (surjective) r-coloring of vertices 0..n-1 with colors 1..r.
 
-    Each color is an int; a bool, or a float such as 1.0, is rejected.
+    Each color and r are ints; a bool, or a float such as 1.0, is rejected.
     """
 
     colors: tuple[int, ...]
     r: int
 
     def __post_init__(self) -> None:
+        if type(self.r) is not int:
+            raise ColoringError(f"r must be an int, got r={self.r!r}")
         if self.r < 1:
             raise ColoringError(f"need r >= 1, got r={self.r}")
         if not self.colors:

@@ -266,11 +266,14 @@ def iter_rainbow_free_changes(
 
     cols is the search's own list, valid until the next read; changed is the
     first vertex at which it differs from the solution before (0 for the
-    first).  r is checked on the call; the search runs as the iterator is
-    read, so memory does not grow with the number of solutions.  Raises
+    first).  r must be an int in 1..n (a bool or a float raises ValueError);
+    it is checked on the call, and the search runs as the iterator is read,
+    so memory does not grow with the number of solutions.  Raises
     BudgetExceededError from the read on which more than budget nodes have
     been entered.
     """
+    if type(r) is not int:
+        raise ValueError(f"r must be an int, got r={r!r}")
     if not 1 <= r <= table.n:
         raise ValueError(f"need 1 <= r <= n, got r={r} with n={table.n}")
     return _search(table, r, budget)

@@ -11,6 +11,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from awgraph import (
     Coloring,
     all_pairs_distances,
@@ -27,10 +29,13 @@ from awgraph.cli import (
     EXIT_OK,
     EXIT_USAGE,
     GRID_COLORINGS,
+    build_parser,
     main,
     parse_graph_spec,
 )
 from prop_helpers import small_corpus
+
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def run(capsys, argv):
@@ -567,3 +572,79 @@ def test_write_into_missing_directory_names_the_target(capsys, tmp_path):
         assert first[2] == f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
         assert run(capsys, argv) == first
     assert list(tmp_path.iterdir()) == []
+
+
+def test_main_builds_its_parser_once(capsys):
+    # Importing the module builds nothing; the first main call builds the
+    # parser and every later call in the process reuses it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import awgraph.cli as c; print(c.build_parser.cache_info().misses)"],
+        capture_output=True, text=True, env=SRC_ENV, timeout=60, check=True,
+    )
+    assert proc.stdout == "0\n"
+    build_parser.cache_clear()
+    for argv in (
+        ["aw", "--graph", "path:4", "--k", "3"],
+        ["extremal", "--graph", "path:5", "--k", "3", "--r", "2"],
+        ["table", "--max-cells", "6"],
+        ["aw", "--graph", "path:4", "--k", "3"],
+    ):
+        assert run(capsys, argv)[0] == EXIT_OK
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_argparse_errors_leave_the_parser_as_it_was(capsys):
+    # A usage error exits 2 with the same usage and message that a freshly
+    # built parser prints, and the next call runs as if it came first.
+    valid = ["extremal", "--graph", "path:5", "--k", "3", "--r", "2"]
+    want = run(capsys, valid)
+    for bad in (
+        ["extremal", "--graph", "path:5", "--k", "x", "--r", "2"],
+        ["extremal", "--k", "3", "--r", "2"],
+    ):
+        with pytest.raises(SystemExit) as fresh:
+            build_parser.__wrapped__().parse_args(bad)
+        fresh_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        out, err = capsys.readouterr()
+        assert (info.value.code, fresh.value.code) == (EXIT_USAGE, EXIT_USAGE)
+        assert out == ""
+        assert err.startswith("usage: awgraph extremal")
+        assert err == fresh_err
+        assert run(capsys, valid) == want
+
+
+def test_no_argument_carries_over_between_calls(capsys, tmp_path):
+    cert = tmp_path / "g.cert"
+    sequence = [
+        ["aw", "--graph", "grid:2x3", "--k", "3", "--cert", str(cert), "--budget", "100"],
+        ["aw", "--graph", "grid:2x3", "--k", "3"],
+        ["extremal", "--graph", "grid:2x5", "--k", "3", "--r", "3"],
+    ]
+    outs = [run(capsys, argv) for argv in sequence]
+    for argv, got in zip(sequence, outs):
+        alone = subprocess.run(
+            [sys.executable, "-m", "awgraph.cli", *argv],
+            capture_output=True, text=True, env=SRC_ENV, timeout=60,
+        )
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    parser = build_parser()
+    parser.parse_args(sequence[0])
+    args = parser.parse_args(sequence[1])
+    assert (args.cert, args.budget) == (None, None)
+    assert vars(args) == vars(build_parser.__wrapped__().parse_args(sequence[1]))
+
+
+def test_help_matches_a_freshly_built_parser(capsys):
+    fresh = build_parser.__wrapped__()
+    for argv in (["--help"], ["extremal", "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        assert (info.value.code, got.err) == (EXIT_OK, "")
+        assert got.out == capsys.readouterr().out, argv
+    assert got.out == fresh.format_help()

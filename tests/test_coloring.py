@@ -33,6 +33,8 @@ def test_coloring_validation():
         ((1, 1.5, 2), 2, "color 1.5 at vertex 1 outside 1..2"),
         ((True, 2), 2, "color True at vertex 0 outside 1..2"),
         ((), 0, "need r >= 1, got r=0"),
+        ((1,), True, "r must be an int, got r=True"),
+        ((1, 2), 2.0, "r must be an int, got r=2.0"),
         ((), 1, "coloring of an empty vertex set"),
     ):
         with pytest.raises(ColoringError) as info:

@@ -378,7 +378,8 @@ def test_streamed_first_solution_needs_only_its_own_nodes():
 def test_argument_validation():
     g, _ = build_grid(2, 3)
     table = _table(g)
-    for bad_r in (0, -1, 7):
+    # A bool or a float r is refused like an r out of range.
+    for bad_r in (0, -1, 7, 2.0, True):
         with pytest.raises(ValueError):
             exists_rainbow_free_coloring(table, bad_r)
         with pytest.raises(ValueError):

@@ -10,12 +10,13 @@ ascending order, so the first coloring found is the lexicographically least
 canonical one and enumeration output is lex-sorted.  The search forward
 checks (Haralick & Elliott, 1980): each vertex keeps a domain of colors, and
 once k - 1 members of an AP carry pairwise distinct colors its last member
-is restricted to those colors.  A choice that empties a domain is rejected,
-and a branch is cut when too few vertices with unrestricted domains remain
-to bring in the colors still missing from 1..r.  Both cut only subtrees
-without a solution, so the results are those of the plain search.  The last
-vertex restricts nothing, so its colors are tried as leaves in one inner
-loop, and k = 3 and k = 4 APs are read by loops of their own.
+is restricted to those colors.  A choice is rejected when it empties a
+domain, or when it leaves too few vertices with unrestricted domains to bring
+in the colors still missing from 1..r; both are decided at the choice, so no
+node is entered only to be cut.  Both cut only subtrees without a solution,
+so the results are those of the plain search.  The last vertex restricts
+nothing, so its colors are tried as leaves in one inner loop, and k = 3 and
+k = 4 APs are read by loops of their own.
 
 A search takes only the AP table, which fixes n and k, and r.  The engine is
 one generator, _search, read only by the stream iter_rainbow_free_changes.
@@ -85,7 +86,8 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     would make the AP rainbow.  A choice that empties a domain is rejected
     without entering the next vertex.  Neither the rejection nor the domains
     passed on depend on the order of the APs in a list.  Entering vertex v
-    allows its domain within 1..top+1 (at most r).  An entry of ahead[v] is
+    allows its domain within 1..top+1 (at most r); a restricted domain is
+    already within 1..top.  An entry of ahead[v] is
     (a, w) at k = 3 and the sorted vertex tuple vs, ending in v and w, at
     every other k; k = 3 and k = 4 have loops of their own, others walk vs.
 
@@ -95,16 +97,25 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     has nothing to undo.
 
     A restricted domain holds only colors already in use, so only unassigned
-    vertices with an unrestricted domain can bring in the r - top colors still
-    missing; a node with fewer of them is cut.  With r < k no AP can be
-    rainbow and the domains stay unrestricted.  Each node entered counts
-    against the budget, leaves and cut nodes included.
+    vertices with an unrestricted domain (free ones) can bring in the r - top
+    colors still missing.  slack is their number less r - top, n - r >= 0 at
+    the root, and a node with negative slack holds no solution.  Only two
+    events lower it, each by one: a free vertex taking a color in use, and a
+    restriction of a free vertex's domain.  So entering a free vertex at
+    slack 0 allows only top + 1, and a restriction that takes slack below 0
+    rejects the choice as an emptied domain does, without reading the rest
+    of ahead[v].  Every node entered then has slack >= 0: no node is entered
+    only to be cut, and the nodes skipped are exactly those a test on entry
+    would cut.  With r < k no AP can be rainbow and the domains stay
+    unrestricted.  Each node entered counts against the budget, leaves
+    included.
 
     No AP has n - 1 as its second-largest vertex, so ahead[n - 1] is empty
     and a color chosen for the last vertex neither restricts a domain nor is
-    rejected.  Once entering n - 1 passes the cut, one inner loop walks its
-    allowed colors in ascending order as leaves: each counts as a node, and
-    each that brings top to r is yielded.  So a leaf's colors are in
+    rejected.  On entering n - 1 one inner loop walks its allowed colors in
+    ascending order as leaves, each counted as a node and yielded: at
+    slack >= 0 either top = r already, or n - 1 is free with top = r - 1 at
+    slack 0 and its one allowed color is r.  So a leaf's colors are in
     restricted-growth form and reach r, and each result is an exact
     r-coloring.  Between two yields every vertex from the lowest one
     backtracked to up to n - 1 takes a new color, the lowest one a larger
@@ -122,35 +133,40 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     cols = [0] * n  # the chosen colors as ints, yielded at each solution
     untried = [0] * n
     tops = [0] * n
-    frees = [0] * n
+    slacks = [0] * n
     nodes = 0
     last = n - 1
     v = top = changed = 0
-    free = n  # unassigned vertices whose domain is unrestricted
+    # Unassigned vertices with an unrestricted domain, less the colors missing.
+    slack = n - r
     while True:
         nodes += 1
         if nodes > budget:
             raise _over_budget(budget, r, n)
-        allowed = 0
-        if r - top <= free:
-            d = doms[v][v]
-            allowed = d & ((1 << (top + 1 if top < r else r)) - 1)
-            if v == last:
-                # ahead[last] is empty: each color is a leaf, never rejected.
-                while allowed:
-                    low = allowed & -allowed
-                    allowed ^= low
-                    nodes += 1
-                    if nodes > budget:
-                        raise _over_budget(budget, r, n)
-                    c = low.bit_length()
-                    if c == r or top == r:
-                        cols[v] = c
-                        yield changed, cols
-                        changed = v
-            else:
-                tops[v] = top
-                frees[v] = free - 1 if d == full else free
+        allowed = doms[v][v]
+        if allowed == full:
+            # v stops being free; a new color at the choice gives the 1 back.
+            slack -= 1
+            if slack < 0:
+                # A color in use would leave too few free vertices: only top + 1.
+                allowed = 1 << top
+            elif top < r - 1:
+                allowed = (2 << top) - 1
+        if v == last:
+            # ahead[last] is empty: each color is a leaf, never rejected, and
+            # each one brings top to r.
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                nodes += 1
+                if nodes > budget:
+                    raise _over_budget(budget, r, n)
+                cols[v] = low.bit_length()
+                yield changed, cols
+                changed = v
+        else:
+            tops[v] = top
+            slacks[v] = slack
         while True:
             while not allowed:
                 if v == 0:
@@ -162,10 +178,11 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
             low = allowed & -allowed
             allowed ^= low
             top = tops[v]
+            slack = slacks[v]
             c = low.bit_length()
             if c > top:
                 top = c
-            free = frees[v]
+                slack += 1
             dom = given = doms[v]
             # Fewer than k - 1 colors in use cannot restrict anything.
             if top < k - 1:
@@ -180,7 +197,9 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
                             if not nd:
                                 break
                             if d == full:
-                                free -= 1
+                                slack -= 1
+                                if slack < 0:
+                                    break
                             if dom is given:
                                 dom = given[:]
                             dom[w] = nd
@@ -197,7 +216,9 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
                             if not nd:
                                 break
                             if d == full:
-                                free -= 1
+                                slack -= 1
+                                if slack < 0:
+                                    break
                             if dom is given:
                                 dom = given[:]
                             dom[w] = nd
@@ -223,7 +244,9 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
                             if not nd:
                                 break
                             if d == full:
-                                free -= 1
+                                slack -= 1
+                                if slack < 0:
+                                    break
                             if dom is given:
                                 dom = given[:]
                             dom[w] = nd

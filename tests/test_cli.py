@@ -453,16 +453,16 @@ def test_budget_exit_codes(capsys):
     code, full, _ = run(capsys, argv)
     assert code == EXIT_OK
     header = "graph grid:3x4 n=12 m=17\nk = 3\nr = 2\n"
-    for budget, rows in ((10, 0), (100, 45)):
+    for budget, rows in ((10, 0), (100, 46)):
         code, out, err = run(capsys, argv + ["--budget", str(budget)])
         assert code == EXIT_BUDGET
         assert out.startswith(header) and full.startswith(out)
         assert "count =" not in out
         assert out.count("\n") == 3 + rows
         assert err == f"error: search expanded more than {budget} nodes (r=2, n=12)\n"
-    # The enumeration enters 4,096 nodes.  At every 37th budget below that,
+    # The enumeration enters 4,095 nodes.  At every 37th budget below that,
     # the rows written are whole: each row is built from the one before.
-    for budget in range(1, 4096, 37):
+    for budget in range(1, 4095, 37):
         code, out, _ = run(capsys, argv + ["--budget", str(budget)])
         assert code == EXIT_BUDGET, budget
         assert out.startswith(header) and full.startswith(out), budget
@@ -472,7 +472,7 @@ def test_budget_exit_codes(capsys):
             for row in rows
         ), budget
         assert "count =" not in out, budget
-    assert run(capsys, argv + ["--budget", "4096"]) == (EXIT_OK, full, "")
+    assert run(capsys, argv + ["--budget", "4095"]) == (EXIT_OK, full, "")
 
     code, _, _ = run(
         capsys,

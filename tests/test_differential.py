@@ -7,14 +7,18 @@ the same order, the same first changed vertex of each solution, the same aw
 and per-r verdicts.
 """
 
+import hashlib
+
 import networkx
 import pytest
 
 from awgraph import (
     Graph,
     all_pairs_distances,
+    build_cycle,
     build_grid,
     build_path,
+    build_star,
     cartesian_product,
     compute_aw,
     enumerate_k_aps,
@@ -69,3 +73,32 @@ def test_path2_product_slice_matches(monkeypatch):
         g = cartesian_product(p2, h)
         got, want = _both(monkeypatch, lambda: compute_aw(g, 3))
         assert got == want, sorted(ag.edges())
+
+
+# (graph, k, r, solutions, sha256 over one "changed c0 c1 ...\n" line per
+# solution): instances too large for the comparisons with the plain engine
+# above, where the free-vertex cut rejects the most choices.  The digests were
+# computed while that cut was still decided on entering the child.  cycle:14,
+# star:10 and grid:3x4 at r = aw stream nothing, so each is pinned at
+# r = aw - 1 too.
+PINNED_STREAMS = [
+    (build_path(12), 4, 7, 7, "f5c95353d70f1728b260ff6568ce755732c49e005705b5f8b1d47b4c97f98a64"),
+    (build_grid(2, 6)[0], 4, 5, 40, "cfd797c44813de7bf3ac4814fb905b27c8cf2142905f551ab4e7ff1de3ec74fe"),
+    (build_cycle(14), 5, 8, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (build_cycle(14), 5, 7, 35, "c872354d7abbb0bc85754bcaa4d4de46479751f15a271f8ee460903139cccac9"),
+    (build_star(10), 5, 6, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (build_star(10), 5, 5, 7770, "566a4b06fab58aaf57c7c939594d251e3134322f7ade019aa355640976f3c6c2"),
+    (build_grid(3, 4)[0], 5, 6, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (build_grid(3, 4)[0], 5, 5, 5233, "af83701a0674af44fea3d2a7818845c1aabb32ec649be4570b5d2edd1680be9a"),
+]
+
+
+def test_streams_beyond_the_plain_engine_match_pinned_digests():
+    for g, k, r, solutions, want in PINNED_STREAMS:
+        table = enumerate_k_aps(all_pairs_distances(g), k)
+        digest = hashlib.sha256()
+        count = 0
+        for changed, cols in iter_rainbow_free_changes(table, r):
+            digest.update(f"{changed} {' '.join(map(str, cols))}\n".encode())
+            count += 1
+        assert (count, digest.hexdigest()) == (solutions, want), (g.edges(), k, r)

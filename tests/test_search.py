@@ -261,44 +261,50 @@ def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceededError):
         enumerate_rainbow_free_colorings(table, 3, budget=2)
     with pytest.raises(BudgetExceededError):
-        compute_aw(build_grid(3, 4)[0], 3, budget=20)
-    # The budget caps each r's search separately: grid:4x4 needs 42 nodes
-    # for r = 3 and 80 for r = 4, so 80 suffices although the two add up to
-    # more, and 79 does not.
+        compute_aw(build_grid(3, 4)[0], 3, budget=19)
+    # The budget caps each r's search separately: grid:4x4 needs 28 nodes
+    # for r = 3 and 39 for r = 4, so 39 suffices although the two add up to
+    # more, and 38 does not.
     grid44 = build_grid(4, 4)[0]
-    assert compute_aw(grid44, 3, budget=80).aw == 4
+    assert compute_aw(grid44, 3, budget=39).aw == 4
     with pytest.raises(BudgetExceededError):
-        compute_aw(grid44, 3, budget=79)
+        compute_aw(grid44, 3, budget=38)
 
 
 def test_node_ceilings():
     # A gate on search effort that does not depend on the machine: the r = 4
-    # proofs take 170 and 510 nodes, while the plain engine in
+    # proofs take 84 and 254 nodes, while the plain engine in
     # plain_engine.py needs 18.9M nodes on grid:5x5.
-    assert compute_aw(build_grid(5, 5)[0], 3, budget=1000).aw == 4
-    assert compute_aw(build_grid(6, 6)[0], 3, budget=2000).aw == 4
+    assert compute_aw(build_grid(5, 5)[0], 3, budget=500).aw == 4
+    assert compute_aw(build_grid(6, 6)[0], 3, budget=1000).aw == 4
 
 
 # (graph, k, r, enumerate, nodes): the exact node count of one search.  A
-# node is every vertex assignment entered, leaves and pruned nodes included;
-# a color rejected because it empties a domain is not a node.  The plain
-# engine in plain_engine.py needs 2056, 552, 258, 1117, 7, 1043, 5930, 4769,
-# 4096 and 2.
+# node is every vertex assignment entered, leaves included; a color rejected
+# because it empties a domain or leaves too few unrestricted vertices for the
+# missing colors is not a node.  The plain engine in plain_engine.py needs
+# 2056, 552, 258, 1117, 7, 1043, 5930, 4769, 4096 and 2.
 NODE_COUNTS = [
-    (build_grid(3, 4)[0], 3, 4, False, 34),  # nonexistence proof
-    (build_grid(3, 4)[0], 3, 3, False, 30),
-    (build_path(9), 4, 7, False, 110),  # nonexistence proof
-    (build_path(10), 4, 7, False, 389),
-    (build_cycle(6), 2, 2, False, 2),
-    (build_grid(2, 5)[0], 3, 3, True, 59),
-    (build_star(9), 4, 4, True, 2123),
-    (build_cycle(9), 4, 4, True, 991),
-    (build_path(12), 3, 2, True, 4096),  # every leaf of the last vertex counts
+    (build_grid(3, 4)[0], 3, 4, False, 17),  # nonexistence proof
+    (build_grid(3, 4)[0], 3, 3, False, 20),
+    (build_path(9), 4, 7, False, 33),  # nonexistence proof
+    (build_path(10), 4, 7, False, 112),
+    (build_cycle(6), 2, 2, False, 1),
+    (build_grid(2, 5)[0], 3, 3, True, 33),
+    (build_star(9), 4, 4, True, 1636),
+    (build_cycle(9), 4, 4, True, 468),
+    # Every leaf counts but the all-ones one, which misses color 2.
+    (build_path(12), 3, 2, True, 4095),
     (build_path(1), 2, 1, True, 2),  # the first vertex is also the last
     # aw(C_9, 3) = 4.  C_9 is not bipartite: its equilateral 3-sets, in which
     # every member is a middle, have odd d (the grids' have even d).
-    (build_cycle(9), 3, 4, False, 31),  # nonexistence proof
-    (build_cycle(9), 3, 3, True, 75),
+    (build_cycle(9), 3, 4, False, 14),  # nonexistence proof
+    (build_cycle(9), 3, 3, True, 51),
+    # Where the free-vertex rule rejects the most choices: a k = 4
+    # enumeration at aw - 1 = 8, and k = 4 and k = 5 nonexistence proofs.
+    (build_path(15), 4, 8, True, 8800),
+    (build_grid(3, 6)[0], 4, 6, False, 17505),  # nonexistence proof
+    (build_star(10), 5, 6, True, 909),  # nonexistence proof
 ]
 
 
@@ -312,20 +318,20 @@ def test_node_counts_are_pinned():
 
 
 def test_budget_exits_yield_a_prefix_of_the_stream():
-    # star:7 at k = 4, r = 4 enters 288 nodes and yields 90 solutions, most of
+    # star:7 at k = 4, r = 4 enters 179 nodes and yields 90 solutions, most of
     # them as leaves of one parent, so a budget can run out between them.
     table = _table(build_star(7), 4)
-    full = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, 4, budget=288)]
+    full = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, 4, budget=179)]
     assert len(full) == 90
     yielded = {}
-    for budget in range(1, 288):
+    for budget in range(1, 179):
         got = []
         with pytest.raises(BudgetExceededError):
             for changed, cols in iter_rainbow_free_changes(table, 4, budget=budget):
                 got.append((changed, tuple(cols)))
         assert got == full[: len(got)], budget
         yielded[budget] = len(got)
-    assert [yielded[b] for b in (50, 100, 200, 287)] == [0, 2, 43, 89]
+    assert [yielded[b] for b in (30, 50, 100, 178)] == [0, 9, 38, 89]
 
 
 def test_one_vertex_graph_is_first_and_last_vertex():
@@ -367,7 +373,7 @@ def test_changed_is_the_first_vertex_that_differs_from_the_solution_before():
 
 
 def test_streamed_first_solution_needs_only_its_own_nodes():
-    # The enumeration enters more than 32,767 nodes; the first solution, 18.
+    # The enumeration enters more than 32,767 nodes; the first solution, 17.
     table = _table(build_grid(4, 4)[0])
     with pytest.raises(BudgetExceededError):
         enumerate_rainbow_free_colorings(table, 2, budget=100)

@@ -9,11 +9,10 @@ with repeated vertices are excluded throughout.
 An ApTable has one form at every k: the lists the search reads, which group
 the APs by their second-largest vertex.  enumerate_k_aps and
 brute_force_k_aps file each AP they find straight into them, so no table
-is sorted; its sorted vertex sets are a view built on first access.  Each
-ArithmeticProgression is named from its own vertex set and distances, with
-one realizing ordering: ApTable.aps names every set on first access, and
-find_rainbow_ap names only the one it returns.  The ordering is fixed by
-one rule per k:
+is sorted.  Each ArithmeticProgression is named from its own vertex set and
+distances, with one realizing ordering: ApTable.aps, the one view of a
+table, sorts and names every set on first access, and find_rainbow_ap
+names only the one it returns.  The ordering is fixed by one rule per k:
 
 - k = 3: the smallest member equidistant from the other two goes in the
   middle, with the two ends ascending;
@@ -56,10 +55,10 @@ class ApTable:
     ahead[s] lists the APs whose second-largest vertex is s, in no fixed
     order, as (smallest vertex, largest vertex) at k = 3 and as sorted
     vertex tuples at every other k; a table is built as these lists and
-    never changes them.  The views sets (the sorted tuples in lexicographic
-    order) and aps (their ArithmeticProgression objects, named by the
-    module's ordering rule) are built on first access; no search or check
-    reads them.
+    never changes them.  Its one view, aps, holds each AP's
+    ArithmeticProgression, named by the module's ordering rule, in
+    lexicographic order of the sorted vertex tuples; it is built on first
+    access, and no search or check reads it.
     """
 
     def __init__(self, k: int, dist: tuple[tuple[int, ...], ...], ahead: list[list[tuple]]):
@@ -72,12 +71,8 @@ class ApTable:
         return len(self.dist)
 
     @cached_property
-    def sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(_vertex_sets(self)))
-
-    @cached_property
     def aps(self) -> tuple[ArithmeticProgression, ...]:
-        return tuple(map(partial(_named, self.k, self.dist), self.sets))
+        return tuple(map(partial(_named, self.k, self.dist), sorted(_vertex_sets(self))))
 
 
 def _vertex_sets(table: ApTable):
@@ -164,6 +159,8 @@ def enumerate_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     Every other k: each ordering that _orderings finds is reduced to its
     sorted vertex set, and each set is filed once, with no sort of the sets.
     """
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got k={k!r}")
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
     ahead: list[list[tuple]] = [[] for _ in dist]
@@ -207,6 +204,8 @@ def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     Independent of enumerate_k_aps on purpose; refuses instances with more
     than BRUTE_FORCE_TUPLE_LIMIT candidate tuples.
     """
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got k={k!r}")
     if k < 2:
         raise ValueError(f"k-APs need k >= 2, got k={k}")
     n = len(dist)
@@ -320,9 +319,10 @@ def _bipartite(rings: list[list[int]]) -> bool:
 def find_rainbow_ap(table: ApTable, colors) -> ArithmeticProgression | None:
     """The rainbow AP with the least vertex set, or None when the coloring is rainbow-free.
 
-    That is the first rainbow AP in table order.  Tests only the sets below
-    the least rainbow one so far and names only the one it returns; neither
-    table.sets nor table.aps is built.
+    That is the first rainbow AP in table order, the order of table.aps.
+    Tests only the sets below the least rainbow one so far, read from the
+    lists table.ahead, and names only the one it returns; table.aps is not
+    built.
     """
     k = table.k
     least = None

@@ -216,8 +216,11 @@ def check_coloring(g: Graph, k: int, colors) -> tuple[int, ArithmeticProgression
 
     The one place that picks the method: distance rings at k = 3, the
     distance rows, the AP table and find_rainbow_ap for every other k.
-    Raises ValueError for k < 2.
+    Raises ValueError for k < 2 and for a k that is not an int (a bool or
+    a float such as 3.0 included).
     """
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got k={k!r}")
     if k == 3:
         return scan_3aps(distance_rings(g), colors)
     table = enumerate_k_aps(all_pairs_distances(g), k)

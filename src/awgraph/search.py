@@ -23,17 +23,16 @@ one generator, _search, read only by the stream iter_rainbow_free_changes.
 It yields each solution as a pair (changed, cols): cols is the search's own
 list of colors, and changed is the first vertex whose color differs from the
 solution before (0 for the first), so a reader that keeps the previous row
-need only redo cols[changed:].  iter_rainbow_free_colorings copies each cols
-into a tuple; the first-solution and list operations read that stream and
-build each Coloring through its checked constructor.  compute_aw writes a
-witness with fewer than k colors in closed form, without a search.
+need only redo cols[changed:].  The first-solution and list operations read
+that stream and build each Coloring from a tuple copy of cols through its
+checked constructor.  compute_aw writes a witness with fewer than k colors
+in closed form, without a search.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .aps import ApTable, enumerate_k_aps
 from .coloring import Coloring
@@ -274,8 +273,8 @@ def exists_rainbow_free_coloring(
 
     Raises BudgetExceededError once this call enters more than budget nodes.
     """
-    for colors in iter_rainbow_free_colorings(table, r, budget=budget):
-        return Coloring(colors, r)
+    for _, cols in iter_rainbow_free_changes(table, r, budget=budget):
+        return Coloring(tuple(cols), r)
     return None
 
 
@@ -302,20 +301,6 @@ def iter_rainbow_free_changes(
     return _search(table, r, budget)
 
 
-def iter_rainbow_free_colorings(
-    table: ApTable,
-    r: int,
-    *,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> Iterator[tuple[int, ...]]:
-    """The colors of each canonical rainbow-free exact r-coloring, in lex order, as found.
-
-    The tuples of iter_rainbow_free_changes, with its checks and budget.
-    """
-    changes = iter_rainbow_free_changes(table, r, budget=budget)
-    return map(tuple, map(itemgetter(1), changes))
-
-
 def enumerate_rainbow_free_colorings(
     table: ApTable,
     r: int,
@@ -328,7 +313,8 @@ def enumerate_rainbow_free_colorings(
     avoiding rainbow k-APs (the relabeling action is free).  Raises
     BudgetExceededError once this call enters more than budget nodes.
     """
-    return [Coloring(c, r) for c in iter_rainbow_free_colorings(table, r, budget=budget)]
+    changes = iter_rainbow_free_changes(table, r, budget=budget)
+    return [Coloring(tuple(cols), r) for _, cols in changes]
 
 
 def per_r_verdicts(k: int, n: int, aw: int) -> tuple[tuple[int, bool], ...]:
@@ -356,6 +342,8 @@ def compute_aw(
     lex-least canonical exact one, (1,) * (n - aw + 2) + (2, ..., aw - 1),
     built without a search and so without budget.
     """
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got k={k!r}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     n = g.n

@@ -33,3 +33,6 @@ def test_all_matches_the_public_imports():
         "canonicalize",
     )
     assert [name for name in gone if hasattr(awgraph, name)] == []
+    # The search has one public stream, and a table one named view.
+    assert not hasattr(awgraph.search, "iter_rainbow_free_colorings")
+    assert not hasattr(awgraph.ApTable, "sets")

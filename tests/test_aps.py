@@ -83,6 +83,16 @@ def test_k_validation():
         enumerate_k_aps(dist, 1)
     with pytest.raises(ValueError):
         brute_force_k_aps(dist, 0)
+    # A k that is not an int is refused, a bool or an integral float included.
+    path5 = build_path(5)
+    dist5 = all_pairs_distances(path5)
+    for bad_k in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="k must be an int"):
+            enumerate_k_aps(dist5, bad_k)
+        with pytest.raises(ValueError, match="k must be an int"):
+            brute_force_k_aps(dist5, bad_k)
+        with pytest.raises(ValueError, match="k must be an int"):
+            check_coloring(path5, bad_k, (1, 2, 3, 1, 2))
 
 
 def test_brute_force_guard():
@@ -105,7 +115,7 @@ def _regrouped(sets, n, k):
 
 def test_enumerate_matches_brute_force():
     # The central oracle equivalence: every table is built as the lists the
-    # search reads and derives its sorted sets only when they are read.
+    # search reads and names its progressions only when they are read.
     # Each vertex's list is compared as a multiset, since its order is free.
     # Empty tables are included: k = n + 1, where there are no k distinct
     # vertices, and star:4 at k = 4, whose leaves are pairwise at distance 2.
@@ -119,13 +129,13 @@ def test_enumerate_matches_brute_force():
     for name, g, k in cases:
         dist = all_pairs_distances(g)
         fast = enumerate_k_aps(dist, k)
-        assert "sets" not in vars(fast), name
-        slow = brute_force_k_aps(dist, k).sets
+        assert "aps" not in vars(fast), name
+        slow = brute_force_k_aps(dist, k)
         assert [Counter(entries) for entries in fast.ahead] == _regrouped(
-            slow, g.n, k
+            _sets(slow), g.n, k
         ), f"{name} k={k}"
-        assert fast.sets == slow, f"{name} k={k}"
-    assert enumerate_k_aps(all_pairs_distances(build_star(4)), 4).sets == ()
+        assert fast.aps == slow.aps, f"{name} k={k}"
+    assert enumerate_k_aps(all_pairs_distances(build_star(4)), 4).aps == ()
 
 
 def test_path_and_cycle_tables_are_arithmetic_progressions():
@@ -147,8 +157,8 @@ def test_path_and_cycle_tables_are_arithmetic_progressions():
                 for t in range(1, n)
             }
             on_cycle = {vs for vs in mod_n if len(vs) == k}
-            assert enumerate_k_aps(path, k).sets == tuple(sorted(on_path)), f"P_{n} k={k}"
-            assert enumerate_k_aps(cycle, k).sets == tuple(sorted(on_cycle)), f"C_{n} k={k}"
+            assert _sets(enumerate_k_aps(path, k)) == sorted(on_path), f"P_{n} k={k}"
+            assert _sets(enumerate_k_aps(cycle, k)) == sorted(on_cycle), f"C_{n} k={k}"
 
 
 def test_long_progressions_ignore_the_recursion_limit():
@@ -281,9 +291,8 @@ class _CountedReads(list):
 def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, tmp_path):
     # Only a reported AP needs an ordering: the search and a check that
     # finds no rainbow AP read the grouped lists a table is built as, and
-    # neither table.sets nor table.aps is built.  A k = 3 coloring is
-    # checked from distance rings, with no table, whether or not it has a
-    # rainbow AP.
+    # table.aps is not built.  A k = 3 coloring is checked from distance
+    # rings, with no table, whether or not it has a rainbow AP.
     g, _ = build_grid(2, 3)
     table = enumerate_k_aps(all_pairs_distances(g), 3)
     grouped = _CountedReads(table.ahead)
@@ -293,10 +302,10 @@ def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, 
     assert exists_rainbow_free_coloring(table, 4) is None
     assert 0 < after_r3 < grouped.reads
     assert vars(table)["ahead"] is grouped
-    assert "sets" not in vars(table) and "aps" not in vars(table)
+    assert "aps" not in vars(table)
     assert enumerate_rainbow_free_colorings(table, 3)
     assert find_rainbow_ap(table, (1, 1, 2, 3, 1, 1)) is None
-    assert "sets" not in vars(table) and "aps" not in vars(table)
+    assert "aps" not in vars(table)
 
     built = _capture_tables(monkeypatch)
     report = verify_certificate(emit_certificate(compute_aw(g, 3), g))
@@ -325,7 +334,7 @@ def test_search_and_clean_checks_do_not_build_progressions(monkeypatch, capsys, 
     report = verify_certificate(emit_certificate(compute_aw(g, 4), g))
     assert report.verdict == VERDICT_WITNESS_VALID, report.notes
     assert len(built) == 1 and built[0].k == 4 and any(built[0].ahead)
-    assert "sets" not in vars(built[0]) and "aps" not in vars(built[0])
+    assert "aps" not in vars(built[0])
 
 
 def test_large_grid_certificate_counts_every_progression(monkeypatch):
@@ -336,7 +345,7 @@ def test_large_grid_certificate_counts_every_progression(monkeypatch):
     built = _capture_tables(monkeypatch)
     report = verify_certificate(text)
     assert built == []
-    count = len(enumerate_k_aps(all_pairs_distances(g), 3).sets)
+    count = sum(map(len, enumerate_k_aps(all_pairs_distances(g), 3).ahead))
     assert count == 419_192
     assert report.verdict == VERDICT_WITNESS_VALID, report.notes
     assert report.notes[-1] == (
@@ -452,7 +461,7 @@ def test_ring_count_and_verdict_match_the_oracle():
         rings = distance_rings(g)
         oracle = brute_force_k_aps(dist, 3)
         equilateral_parity[name] = {
-            dist[a][b] % 2 for a, b, c in oracle.sets if dist[a][b] == dist[b][c] == dist[a][c]
+            dist[a][b] % 2 for a, b, c in _sets(oracle) if dist[a][b] == dist[b][c] == dist[a][c]
         }
         colorings = []
         for r in range(1, 5):
@@ -469,7 +478,7 @@ def test_ring_count_and_verdict_match_the_oracle():
             near[rng.randrange(g.n)] = rng.randint(1, 3)
             colorings += [free, near]
         for colors in colorings:
-            expected = (len(oracle.sets), find_rainbow_ap(oracle, colors))
+            expected = (len(oracle.aps), find_rainbow_ap(oracle, colors))
             assert scan_3aps(rings, colors) == expected, f"{name} {colors}"
             outcomes[len(set(colors)) >= 3, expected[1] is not None] += 1
     # Both verdicts occur with three or more colors, so neither is vacuous.

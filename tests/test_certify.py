@@ -266,7 +266,7 @@ def test_graph_without_k_aps_must_claim_n_plus_1():
     # rainbow-free: aw = 5.  A claim of 4 with a valid 3-coloring witness
     # passes every other check.
     g = build_star(4)
-    assert enumerate_k_aps(all_pairs_distances(g), 4).sets == ()
+    assert enumerate_k_aps(all_pairs_distances(g), 4).aps == ()
     text = (
         "GRAPH\n4 3\n0 1\n0 2\n0 3\n\nK\n4\n\nCLAIMED_AW\n4\n\n"
         "WITNESS\n4 3\n1 1 2 3\n\nPER_R\n4 false\n"

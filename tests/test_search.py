@@ -20,7 +20,7 @@ from awgraph import (
     enumerate_rainbow_free_colorings,
     exists_rainbow_free_coloring,
 )
-from awgraph.search import iter_rainbow_free_changes, iter_rainbow_free_colorings
+from awgraph.search import iter_rainbow_free_changes
 from prop_helpers import (
     assert_lex_sorted_canonical,
     brute_force_aw,
@@ -227,6 +227,27 @@ def test_canonical_count_times_factorial():
                 assert filtered == [c.colors for c in canonical], (name, k, r)
 
 
+def test_results_survive_a_vertex_relabeling():
+    # A relabeled graph is the same graph, so aw, the per-r verdicts and the
+    # number of canonical colorings (color partitions, which do not depend on
+    # vertex order) must not move, though the search visits its vertices in
+    # another order.  Witnesses and the colorings themselves may differ.
+    rng = random.Random(13)
+    for name, g in small_corpus():
+        for _ in range(3):
+            perm = rng.sample(range(g.n), g.n)
+            h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            for k in (2, 3, 4):
+                before, after = compute_aw(g, k), compute_aw(h, k)
+                assert (after.aw, after.per_r) == (before.aw, before.per_r), (name, perm, k)
+                g_table, h_table = _table(g, k), _table(h, k)
+                for r in range(1, g.n + 1):
+                    count = len(enumerate_rainbow_free_colorings(g_table, r))
+                    assert len(enumerate_rainbow_free_colorings(h_table, r)) == count, (
+                        name, perm, k, r
+                    )
+
+
 def test_search_results_pass_the_checked_constructor():
     # On every connected atlas graph on 1-6 vertices and every grid up to
     # 3x4, at k = 3 and 4 and every r: the first solution is the first one
@@ -349,9 +370,10 @@ def test_streamed_colors_match_the_enumeration_and_the_first_solution():
         for k in (2, 3, 4, 5):
             table = enumerate_k_aps(dist, k)
             for r in range(1, g.n + 1):
-                streamed = list(iter_rainbow_free_colorings(table, r))
-                assert all(type(c) is tuple for c in streamed), (name, k, r)
+                streamed = [tuple(cols) for _, cols in iter_rainbow_free_changes(table, r)]
                 listed = enumerate_rainbow_free_colorings(table, r)
+                # Each Coloring holds its own tuple, not the search's live list.
+                assert all(type(c.colors) is tuple for c in listed), (name, k, r)
                 assert streamed == [c.colors for c in listed], (name, k, r)
                 first = exists_rainbow_free_coloring(table, r)
                 assert streamed[:1] == ([] if first is None else [first.colors]), (name, k, r)
@@ -368,8 +390,6 @@ def test_changed_is_the_first_vertex_that_differs_from_the_solution_before():
                 for (_, before), (changed, after) in zip(pairs, pairs[1:]):
                     assert before[:changed] == after[:changed], (name, k, r, before, after)
                     assert before[changed] != after[changed], (name, k, r, before, after)
-                colors = [cols for _, cols in pairs]
-                assert colors == list(iter_rainbow_free_colorings(table, r)), (name, k, r)
 
 
 def test_streamed_first_solution_needs_only_its_own_nodes():
@@ -377,8 +397,8 @@ def test_streamed_first_solution_needs_only_its_own_nodes():
     table = _table(build_grid(4, 4)[0])
     with pytest.raises(BudgetExceededError):
         enumerate_rainbow_free_colorings(table, 2, budget=100)
-    first = next(iter_rainbow_free_colorings(table, 2, budget=100))
-    assert first == exists_rainbow_free_coloring(table, 2).colors
+    _, first = next(iter_rainbow_free_changes(table, 2, budget=100))
+    assert tuple(first) == exists_rainbow_free_coloring(table, 2).colors
 
 
 def test_argument_validation():
@@ -392,11 +412,12 @@ def test_argument_validation():
             enumerate_rainbow_free_colorings(table, bad_r)
         # Checked on the call, before the iterator is read.
         with pytest.raises(ValueError):
-            iter_rainbow_free_colorings(table, bad_r)
-        with pytest.raises(ValueError):
             iter_rainbow_free_changes(table, bad_r)
-    with pytest.raises(ValueError):
-        compute_aw(g, 1)
+    # So is a k that is not an int, whether or not the graph has k vertices.
+    for bad_k in (1, 2.5, 3.0, True):
+        for graph in (g, build_path(2)):
+            with pytest.raises(ValueError):
+                compute_aw(graph, bad_k)
 
 
 def test_polychromatic_path_frozen():

@@ -148,6 +148,14 @@ def _orderings(rows, k: int):
                 used[seq.pop()] = False
 
 
+def check_k(k) -> None:
+    """Raise ValueError unless k is an int (not a bool or a float such as 3.0) and k >= 2."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got k={k!r}")
+    if k < 2:
+        raise ValueError(f"k-APs need k >= 2, got k={k}")
+
+
 def enumerate_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     """All k-APs of the graph whose distance rows are dist.
 
@@ -159,10 +167,7 @@ def enumerate_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     Every other k: each ordering that _orderings finds is reduced to its
     sorted vertex set, and each set is filed once, with no sort of the sets.
     """
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got k={k!r}")
-    if k < 2:
-        raise ValueError(f"k-APs need k >= 2, got k={k}")
+    check_k(k)
     ahead: list[list[tuple]] = [[] for _ in dist]
     if k > len(dist):
         return ApTable(k, dist, ahead)  # no k distinct vertices to order
@@ -204,10 +209,7 @@ def brute_force_k_aps(dist: tuple[tuple[int, ...], ...], k: int) -> ApTable:
     Independent of enumerate_k_aps on purpose; refuses instances with more
     than BRUTE_FORCE_TUPLE_LIMIT candidate tuples.
     """
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got k={k!r}")
-    if k < 2:
-        raise ValueError(f"k-APs need k >= 2, got k={k}")
+    check_k(k)
     n = len(dist)
     if math.perm(n, k) > BRUTE_FORCE_TUPLE_LIMIT:
         raise BudgetExceededError(

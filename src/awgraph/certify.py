@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aps import ArithmeticProgression, enumerate_k_aps, find_rainbow_ap, scan_3aps
+from .aps import ArithmeticProgression, check_k, enumerate_k_aps, find_rainbow_ap, scan_3aps
 from .coloring import Coloring, ColoringError, coloring_to_text, parse_coloring_fields
 from .errors import AwgraphError
 from .graphs import (
@@ -216,11 +216,9 @@ def check_coloring(g: Graph, k: int, colors) -> tuple[int, ArithmeticProgression
 
     The one place that picks the method: distance rings at k = 3, the
     distance rows, the AP table and find_rainbow_ap for every other k.
-    Raises ValueError for k < 2 and for a k that is not an int (a bool or
-    a float such as 3.0 included).
+    Raises ValueError for a k that aps.check_k refuses.
     """
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got k={k!r}")
+    check_k(k)
     if k == 3:
         return scan_3aps(distance_rings(g), colors)
     table = enumerate_k_aps(all_pairs_distances(g), k)

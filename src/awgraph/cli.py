@@ -28,7 +28,7 @@ import sys
 
 from .aps import enumerate_k_aps
 from .certify import check_coloring, emit_certificate
-from .coloring import coloring_lines, coloring_to_text, parse_coloring
+from .coloring import coloring_line, coloring_lines, coloring_to_text, parse_coloring
 from .constructions import GRID_COLORINGS, grid_formula_table, verify_product_bound
 from .errors import AwgraphError, BudgetExceededError
 from .graphs import (
@@ -163,10 +163,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _coloring_line(coloring) -> str:
-    return next(coloring_lines([(0, coloring.colors)], coloring.r))
-
-
 def _coords_suffix(coords: GridCoordinates | None, vertices) -> str:
     if coords is None:
         return ""
@@ -200,7 +196,7 @@ def cmd_aw(args) -> int:
         flags = "none-examined"
     print(f"per-r: {flags}")
     if result.witness is not None:
-        print(f"witness: {_coloring_line(result.witness)}")
+        print(f"witness: {coloring_line(result.witness)}")
     else:
         print("witness: none")
     if args.cert is not None:
@@ -219,7 +215,7 @@ def cmd_verify(args) -> int:
     _, ap = check_coloring(g, args.k, coloring.colors)
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
-    print(f"coloring: r={coloring.r} {_coloring_line(coloring)}")
+    print(f"coloring: r={coloring.r} {coloring_line(coloring)}")
     if ap is None:
         print("result: rainbow-free")
     else:
@@ -290,7 +286,7 @@ def cmd_product_bound(args) -> int:
     print(f"product: {args.left} x {args.right} n={report.result.n}")
     print(f"aw = {report.aw}")
     if report.aw == 4:
-        print(f"witness: {_coloring_line(report.witness)}")
+        print(f"witness: {coloring_line(report.witness)}")
     print(f"bound: {'pass' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_FAIL
 

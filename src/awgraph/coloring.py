@@ -31,6 +31,8 @@ class Coloring:
     """Exact (surjective) r-coloring of vertices 0..n-1 with colors 1..r.
 
     Each color and r are ints; a bool, or a float such as 1.0, is rejected.
+    Every vertex is checked, and the first bad one is named; a coloring with
+    every color in 1..r is exact iff r distinct colors occur.
     """
 
     colors: tuple[int, ...]
@@ -43,17 +45,14 @@ class Coloring:
             raise ColoringError(f"need r >= 1, got r={self.r}")
         if not self.colors:
             raise ColoringError("coloring of an empty vertex set")
-        # Once r int colors are in use (so r <= n), one set comparison in C
-        # accepts an exact coloring.  Anything else takes the per-vertex checks,
-        # which name the first bad vertex (a min/max test would let NaN through).
+        # Per vertex, since a min/max test would let NaN through.
+        for v, c in enumerate(self.colors):
+            if type(c) is not int or not 1 <= c <= self.r:
+                raise ColoringError(f"color {c} at vertex {v} outside 1..{self.r}")
         used = set(self.colors)
-        exact = len(used) == self.r and used == set(range(1, self.r + 1))
-        if not exact or not all(type(c) is int for c in used):
-            for v, c in enumerate(self.colors):
-                if type(c) is not int or not 1 <= c <= self.r:
-                    raise ColoringError(f"color {c} at vertex {v} outside 1..{self.r}")
-            # Every color is in 1..r, so some are unused: the first ten are
-            # named, read from 1..n + 11 at most, and any more as "...".
+        if len(used) < self.r:
+            # The first ten unused colors are named, read from 1..n + 11 at
+            # most, and any more as "...".
             unused = (c for c in range(1, self.r + 1) if c not in used)
             named = ", ".join(map(str, islice(unused, 10)))
             more = ", ..." if next(unused, None) else ""
@@ -137,6 +136,11 @@ def coloring_lines(changes, r: int):
         yield line + names[colors[-1]]
 
 
+def coloring_line(coloring: Coloring) -> str:
+    """The colors of one coloring as the line coloring_lines writes for it."""
+    return next(coloring_lines([(0, coloring.colors)], coloring.r))
+
+
 def coloring_to_text(coloring: Coloring) -> str:
     """Inverse of parse_coloring."""
-    return f"{coloring.n} {coloring.r}\n{next(coloring_lines([(0, coloring.colors)], coloring.r))}\n"
+    return f"{coloring.n} {coloring.r}\n{coloring_line(coloring)}\n"

@@ -1,7 +1,7 @@
 """Explicit extremal grid colorings and the closed form for aw of path products.
 
-The two named constructions certify lower bounds aw >= 4 on grids P_m x P_n
-(1-based positions, vertex (i, j) at id (i-1)*n + (j-1)):
+The two named constructions certify lower bounds aw >= 4 on grids P_m x P_n,
+with cells (i, j) placed through GridCoordinates:
 
 corner          red at (1, 1), blue at (m, n), green elsewhere; needs m + n
                 odd, so the corner-to-corner distance m + n - 2 is odd and no
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import Coloring
-from .graphs import Graph, build_grid, cartesian_product
+from .graphs import Graph, GridCoordinates, build_grid, cartesian_product
 from .search import DEFAULT_NODE_BUDGET, AwResult, compute_aw
 
 RED = 1
@@ -40,9 +40,10 @@ def construct_corner_coloring(m: int, n: int) -> Coloring:
         raise ValueError(f"corner coloring needs m*n >= 3, got {m}x{n}")
     if (m + n) % 2 == 0:
         raise ValueError(f"corner coloring needs m + n odd, got {m}x{n}")
+    grid = GridCoordinates(m, n)
     colors = [GREEN] * (m * n)
-    colors[0] = RED
-    colors[m * n - 1] = BLUE
+    colors[grid.vertex(1, 1)] = RED
+    colors[grid.vertex(m, n)] = BLUE
     return Coloring(tuple(colors), 3)
 
 
@@ -58,10 +59,11 @@ def construct_two_red_coloring(m: int, n: int) -> Coloring:
         raise ValueError(f"two-red-corner coloring needs m, n >= 4, got {m}x{n}")
     if (m + n) % 2 == 1:
         raise ValueError(f"two-red-corner coloring needs m + n even, got {m}x{n}")
+    grid = GridCoordinates(m, n)
     colors = [GREEN] * (m * n)
-    colors[1] = RED            # (1, 2)
-    colors[n] = RED            # (2, 1)
-    colors[m * n - 1] = BLUE   # (m, n)
+    colors[grid.vertex(1, 2)] = RED
+    colors[grid.vertex(2, 1)] = RED
+    colors[grid.vertex(m, n)] = BLUE
     return Coloring(tuple(colors), 3)
 
 

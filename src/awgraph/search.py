@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .aps import ApTable, enumerate_k_aps
+from .aps import ApTable, check_k, enumerate_k_aps
 from .coloring import Coloring
 from .errors import BudgetExceededError
 from .graphs import Graph, all_pairs_distances
@@ -342,10 +342,7 @@ def compute_aw(
     lex-least canonical exact one, (1,) * (n - aw + 2) + (2, ..., aw - 1),
     built without a search and so without budget.
     """
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got k={k!r}")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
+    check_k(k)
     n = g.n
     aw = n + 1
     witness: Coloring | None = None

@@ -405,6 +405,11 @@ def test_usage_errors(capsys, tmp_path):
     argv = ["verify", "--graph", "path:3", "--k", "3", "--coloring", str(inexact)]
     assert run(capsys, argv) == (EXIT_USAGE, "", "error: not exact: colors [3] unused\n")
 
+    good = tmp_path / "good.coloring"
+    good.write_text("3 2\n1 2 1\n", encoding="utf-8")
+    argv = ["verify", "--graph", "path:3", "--k", "1", "--coloring", str(good)]
+    assert run(capsys, argv) == (EXIT_USAGE, "", "error: k-APs need k >= 2, got k=1\n")
+
     # A declared r of 10^9 is refused in time and memory linear in n, with
     # a one-line message: 1..r is never built or listed.
     huge = tmp_path / "huge.coloring"
@@ -435,6 +440,12 @@ def test_usage_error_messages(capsys):
             "--budget must be positive, got 0",
         ),
         (["aw", "--graph", "grid:0x3", "--k", "3"], "grid needs m, n >= 1, got 0x3"),
+        # Every command that reads --k refuses k < 2 in the AP layer's words.
+        (["aw", "--graph", "path:3", "--k", "1"], "k-APs need k >= 2, got k=1"),
+        (
+            ["extremal", "--graph", "path:3", "--k", "1", "--r", "2"],
+            "k-APs need k >= 2, got k=1",
+        ),
     ):
         assert run(capsys, argv) == (EXIT_USAGE, "", f"error: {line}\n"), argv
 

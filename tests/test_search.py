@@ -418,6 +418,8 @@ def test_argument_validation():
         for graph in (g, build_path(2)):
             with pytest.raises(ValueError):
                 compute_aw(graph, bad_k)
+    with pytest.raises(ValueError, match=r"^k-APs need k >= 2, got k=1$"):
+        compute_aw(g, 1)
 
 
 def test_polychromatic_path_frozen():

@@ -39,6 +39,7 @@ non-exact witness, verify_certificate reports it as witness-invalid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .aps import ArithmeticProgression, check_k, enumerate_k_aps, find_rainbow_ap, scan_3aps
 from .coloring import Coloring, ColoringError, coloring_to_text, parse_coloring_fields
@@ -47,6 +48,7 @@ from .graphs import (
     Graph,
     GraphError,
     all_pairs_distances,
+    content_lines,
     distance_rings,
     graph_to_text,
     parse_graph,
@@ -104,16 +106,8 @@ def _per_r_lines(per_r) -> list[str]:
 
 
 def _split_sections(text: str) -> dict[str, list[str]]:
-    blocks: list[list[str]] = []
-    current: list[str] = []
-    for line in text.splitlines():
-        if line.strip():
-            current.append(line.rstrip())
-        elif current:
-            blocks.append(current)
-            current = []
-    if current:
-        blocks.append(current)
+    lines = map(str.rstrip, text.splitlines())  # a whitespace-only line is blank
+    blocks = [list(block) for filled, block in groupby(lines, bool) if filled]
     if len(blocks) != len(_SECTIONS):
         raise CertificateFormatError(
             f"expected {len(_SECTIONS)} sections {_SECTIONS}, found {len(blocks)}"
@@ -178,10 +172,7 @@ def _parse_fields(text: str):
         raise CertificateFormatError(f"k must be >= 2, got {k}")
     claimed = _single_int(sections["CLAIMED_AW"], "CLAIMED_AW")
     witness = None
-    content = [
-        ln.strip() for ln in sections["WITNESS"] if not ln.lstrip().startswith("#")
-    ]
-    if content != ["none"]:
+    if content_lines("\n".join(sections["WITNESS"])) != ["none"]:
         try:
             witness = parse_coloring_fields("\n".join(sections["WITNESS"]))
         except ColoringError as exc:

@@ -9,9 +9,10 @@ product:<spec>,<spec> (nesting depth at most 3), file:<path>.
 
 Exit codes: 0 success, 1 reported mismatch or failed bound, 2 usage or
 validation error, 3 node budget exceeded.  --budget overrides the default
-node budget.  extremal writes each row as the search finds it, so on exit 3
-its stdout is a prefix of the full output.  aw --cert and construct --out
-write their file before they print, so on exit 2 stdout stays empty.
+node budget.  A bad --k, --r or --budget is refused before any distance
+or AP is computed.  extremal writes each row as the search finds it, so on
+exit 3 its stdout is a prefix of the full output.  aw --cert and construct
+--out write their file before they print, so on exit 2 stdout stays empty.
 
 main(argv) may be called any number of times in one process.  The parser
 is built on the first call, not on import, and every later call reuses it.
@@ -26,7 +27,7 @@ import math
 import os
 import sys
 
-from .aps import enumerate_k_aps
+from .aps import check_k, enumerate_k_aps
 from .certify import check_coloring, emit_certificate
 from .coloring import coloring_line, coloring_lines, coloring_to_text, parse_coloring
 from .constructions import GRID_COLORINGS, grid_formula_table, verify_product_bound
@@ -45,6 +46,7 @@ from .graphs import (
 )
 from .search import (
     DEFAULT_NODE_BUDGET,
+    check_r,
     compute_aw,
     enumerate_rainbow_free_colorings,  # unused here; perfbench's extremal-enum probe patches it
     iter_rainbow_free_changes,
@@ -92,18 +94,15 @@ def _parse_one(spec: str, depth: int) -> tuple[Graph, GridCoordinates | None, st
         if left == build_path(left.n) and right == build_path(right.n):
             coords = GridCoordinates(left.n, right.n)
         return product, coords, rest
+    if kind == "file" and depth == 0:
+        arg, rest = rest, ""  # top level: the whole remainder, commas allowed
+    else:
+        # Inside a product any operand, a file path too, ends at the next comma.
+        arg, sep, rest = rest.partition(",")
+        rest = sep + rest
     if kind == "file":
-        if depth == 0:
-            path, rest = rest, ""  # top level: the whole remainder, commas allowed
-        else:
-            # Inside a product the path ends at the operand separator, so
-            # nested file paths may not contain commas.
-            path, sep2, tail = rest.partition(",")
-            rest = (sep2 + tail) if sep2 else ""
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(arg, "r", encoding="utf-8") as fh:
             return parse_graph(fh.read()), None, rest
-    arg, sep, rest = rest.partition(",")
-    rest = (sep + rest) if sep else rest
     if kind == "grid":
         dims = arg.split("x")
         if len(dims) != 2:
@@ -230,10 +229,13 @@ def cmd_verify(args) -> int:
 
 def cmd_extremal(args) -> int:
     g, _ = parse_graph_spec(args.graph)
-    table = enumerate_k_aps(all_pairs_distances(g), args.k)
     r = args.r
-    # Every argument is checked here; the search runs as the rows are written.
-    solutions = iter_rainbow_free_changes(table, r, budget=_budget_from(args))
+    # Each argument is checked before any distance; rows are written as found.
+    check_k(args.k)
+    budget = _budget_from(args)
+    check_r(r, g.n)
+    table = enumerate_k_aps(all_pairs_distances(g), args.k)
+    solutions = iter_rainbow_free_changes(table, r, budget=budget)
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
     print(f"r = {r}")

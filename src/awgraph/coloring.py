@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import AwgraphError
+from .graphs import content_lines
 
 
 class ColoringError(AwgraphError, ValueError):
@@ -69,11 +70,7 @@ def parse_coloring_fields(text: str) -> tuple[tuple[int, ...], int]:
     Reads "<n> <r>" then n colors in 1..r; lines starting with '#' and blank
     lines are ignored.  Exactness is left to Coloring itself.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = content_lines(text)
     if len(lines) != 2:
         raise ColoringFormatError(
             f"expected header and one color line, got {len(lines)} lines"

@@ -78,18 +78,14 @@ class Graph:
                     raise GraphError(f"adjacency row {u} not strictly sorted")
                 prev = v
                 back[v].append(u)
-        # back[v] lists in ascending order the vertices whose rows hold v, so
-        # it equals row v unless some edge u-v lacks its reverse v-u; then u is
-        # in back[v] but not in row v.  The least such (u, v) is the first in
-        # row order.  O(m), where a membership test per edge costs sum deg^2.
-        missing = [
-            (u, v)
-            for v, row in enumerate(self.adjacency)
-            if tuple(back[v]) != row
-            for u in set(back[v]).difference(row)
-        ]
-        if missing:
-            u, v = min(missing)
+        # back[v] lists in ascending order the vertices whose rows hold v, so it
+        # equals row v unless an edge lacks its reverse.  Only then are row sets
+        # built, to name the first such edge in row order, the least, in O(m).
+        if tuple(map(tuple, back)) != tuple(self.adjacency):
+            rows = [set(row) for row in self.adjacency]
+            u, v = next(
+                (u, v) for u, row in enumerate(self.adjacency) for v in row if u not in rows[v]
+            )
             raise GraphError(f"edge {u}-{v} missing its reverse")
         if -1 in distances_from(self, 0):
             raise DisconnectedGraphError(
@@ -211,6 +207,11 @@ def build_grid(m: int, n: int) -> tuple[Graph, GridCoordinates]:
 # ======================================================================
 
 
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of text that count: all but blank lines and '#' comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain-text graph format.
 
@@ -219,7 +220,7 @@ def parse_graph(text: str) -> Graph:
     self-loops, out-of-range ids and disconnected graphs are rejected, each
     with its own error class.
     """
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    lines = content_lines(text)
     if not lines:
         raise MalformedHeaderError("empty graph text")
     head = lines[0].split()

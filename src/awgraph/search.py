@@ -263,6 +263,14 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
 # ======================================================================
 
 
+def check_r(r, n: int) -> None:
+    """Raise ValueError unless r is an int (not a bool or a float such as 2.0) in 1..n."""
+    if type(r) is not int:
+        raise ValueError(f"r must be an int, got r={r!r}")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r} with n={n}")
+
+
 def exists_rainbow_free_coloring(
     table: ApTable,
     r: int,
@@ -288,16 +296,15 @@ def iter_rainbow_free_changes(
 
     cols is the search's own list, valid until the next read; changed is the
     first vertex at which it differs from the solution before (0 for the
-    first).  r must be an int in 1..n (a bool or a float raises ValueError);
-    it is checked on the call, and the search runs as the iterator is read,
-    so memory does not grow with the number of solutions.  Raises
-    BudgetExceededError from the read on which more than budget nodes have
-    been entered.
+    first).  r must be an int in 1..n (check_r) and budget an int, not a
+    bool or a float; else the call raises ValueError.  The search runs as
+    the iterator is read, so memory does not grow with the number of
+    solutions.  Raises BudgetExceededError from the read on which more than
+    budget nodes have been entered, the first read for a budget below 1.
     """
-    if type(r) is not int:
-        raise ValueError(f"r must be an int, got r={r!r}")
-    if not 1 <= r <= table.n:
-        raise ValueError(f"need 1 <= r <= n, got r={r} with n={table.n}")
+    check_r(r, table.n)
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an int, got budget={budget!r}")
     return _search(table, r, budget)
 
 

@@ -238,6 +238,17 @@ def test_comment_lines_in_graph_and_witness():
     assert parse_certificate(text) == parse_certificate(good)
 
 
+def test_whitespace_separators_and_trailing_spaces():
+    # A separator line of spaces and tabs is blank, and trailing spaces on
+    # any line are ignored.
+    p2 = build_path(2)
+    for good in (_grid23_text(), emit_certificate(compute_aw(p2, 2), p2)):
+        text = "".join(f"{ln}  \n" if ln else " \t\n" for ln in good.splitlines())
+        assert text != good and text.count(" \t\n") == 4
+        assert verify_certificate(text) == verify_certificate(good)
+        assert parse_certificate(text) == parse_certificate(good)
+
+
 def test_edgeless_huge_graph_is_rejected_at_once():
     # Fewer than n - 1 edges cannot connect n vertices; this is caught before
     # any adjacency row is built, so 10^8 vertices cost nothing.

@@ -450,6 +450,24 @@ def test_usage_error_messages(capsys):
         assert run(capsys, argv) == (EXIT_USAGE, "", f"error: {line}\n"), argv
 
 
+def test_extremal_checks_arguments_before_distances(capsys, monkeypatch):
+    # k, then --budget, then r are refused before any distance is computed.
+    def no_distances(g):
+        raise AssertionError("distances computed before the arguments were checked")
+
+    monkeypatch.setattr("awgraph.cli.all_pairs_distances", no_distances)
+    base = ["extremal", "--graph", "grid:3x4"]
+    for extra, line in (
+        (["--k", "1", "--r", "2"], "k-APs need k >= 2, got k=1"),
+        (["--k", "1", "--r", "0", "--budget", "0"], "k-APs need k >= 2, got k=1"),
+        (["--k", "3", "--r", "0"], "need 1 <= r <= n, got r=0 with n=12"),
+        (["--k", "3", "--r", "99"], "need 1 <= r <= n, got r=99 with n=12"),
+        (["--k", "3", "--r", "2", "--budget", "0"], "--budget must be positive, got 0"),
+        (["--k", "3", "--r", "0", "--budget", "0"], "--budget must be positive, got 0"),
+    ):
+        assert run(capsys, base + extra) == (EXIT_USAGE, "", f"error: {line}\n"), extra
+
+
 def test_budget_exit_codes(capsys):
     code, _, err = run(
         capsys, ["aw", "--graph", "grid:3x4", "--k", "3", "--budget", "5"]

@@ -75,6 +75,9 @@ def test_graph_invariants_enforced():
         (3, ((2, 1), (0,), (0,)), "row 0 not strictly sorted"),
         (2, ((1,), ()), "edge 0-1 missing its reverse"),
         (4, ((1,), (0, 2), (1, 3), (1,)), "edge 2-3 missing its reverse"),
+        # Two edges lack their reverse; the first in row order is named,
+        # where a scan by column would name 1-0.
+        (3, ((2,), (0,), ()), "edge 0-2 missing its reverse"),
     ):
         with pytest.raises(GraphError, match=message):
             Graph(n, rows)

@@ -420,6 +420,18 @@ def test_argument_validation():
                 compute_aw(graph, bad_k)
     with pytest.raises(ValueError, match=r"^k-APs need k >= 2, got k=1$"):
         compute_aw(g, 1)
+    # So is a budget that is not an int, None, a bool or a float alike.
+    for bad_budget in (None, True, 2.5):
+        message = rf"^budget must be an int, got budget={bad_budget!r}$"
+        for call in (
+            exists_rainbow_free_coloring,
+            enumerate_rainbow_free_colorings,
+            iter_rainbow_free_changes,
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(table, 3, budget=bad_budget)
+        with pytest.raises(ValueError, match=message):
+            compute_aw(g, 3, budget=bad_budget)
 
 
 def test_polychromatic_path_frozen():

@@ -51,6 +51,7 @@ from .graphs import (
     content_lines,
     distance_rings,
     graph_to_text,
+    int_field,
     parse_graph,
 )
 from .search import AwResult, per_r_verdicts
@@ -127,12 +128,7 @@ def _split_sections(text: str) -> dict[str, list[str]]:
 def _single_int(lines: list[str], name: str) -> int:
     if len(lines) != 1:
         raise CertificateFormatError(f"section {name} must be a single line")
-    try:
-        return int(lines[0].strip())
-    except ValueError:
-        raise CertificateFormatError(
-            f"section {name} must be an integer, got {lines[0]!r}"
-        ) from None
+    return int_field(lines[0], f"section {name}", CertificateFormatError)
 
 
 def _parse_per_r_lines(lines: list[str]) -> tuple[tuple[int, bool], ...]:
@@ -207,8 +203,11 @@ def check_coloring(g: Graph, k: int, colors) -> tuple[int, ArithmeticProgression
 
     The one place that picks the method: distance rings at k = 3, the
     distance rows, the AP table and find_rainbow_ap for every other k.
-    Raises ValueError for a k that aps.check_k refuses.
+    Raises ValueError for colors whose length is not g.n, then for a k
+    that aps.check_k refuses.
     """
+    if len(colors) != g.n:
+        raise ValueError(f"coloring has {len(colors)} vertices but the graph has {g.n}")
     check_k(k)
     if k == 3:
         return scan_3aps(distance_rings(g), colors)

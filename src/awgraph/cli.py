@@ -42,6 +42,7 @@ from .graphs import (
     build_path,
     build_star,
     cartesian_product,
+    int_field,
     parse_graph,
 )
 from .search import (
@@ -67,13 +68,6 @@ class SpecError(AwgraphError, ValueError):
 # ======================================================================
 # Graph specs
 # ======================================================================
-
-
-def _parse_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SpecError(f"{what} must be an integer, got {token!r}") from None
 
 
 def _parse_one(spec: str, depth: int) -> tuple[Graph, GridCoordinates | None, str]:
@@ -107,7 +101,8 @@ def _parse_one(spec: str, depth: int) -> tuple[Graph, GridCoordinates | None, st
         dims = arg.split("x")
         if len(dims) != 2:
             raise SpecError(f"grid spec must be grid:MxN, got {arg!r}")
-        m, n = _parse_int(dims[0], "grid rows"), _parse_int(dims[1], "grid columns")
+        m = int_field(dims[0], "grid rows", SpecError)
+        n = int_field(dims[1], "grid columns", SpecError)
         g, coords = build_grid(m, n)
         return g, coords, rest
     builders = {
@@ -118,7 +113,7 @@ def _parse_one(spec: str, depth: int) -> tuple[Graph, GridCoordinates | None, st
     }
     if kind not in builders:
         raise SpecError(f"unknown graph kind {kind!r}")
-    return builders[kind](_parse_int(arg, f"{kind} size")), None, rest
+    return builders[kind](int_field(arg, f"{kind} size", SpecError)), None, rest
 
 
 def parse_graph_spec(spec: str) -> tuple[Graph, GridCoordinates | None]:
@@ -207,10 +202,6 @@ def cmd_verify(args) -> int:
     g, coords = parse_graph_spec(args.graph)
     with open(args.coloring, "r", encoding="utf-8") as fh:
         coloring = parse_coloring(fh.read())
-    if coloring.n != g.n:
-        raise SpecError(
-            f"coloring has {coloring.n} vertices but the graph has {g.n}"
-        )
     _, ap = check_coloring(g, args.k, coloring.colors)
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")

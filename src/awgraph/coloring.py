@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import AwgraphError
-from .graphs import content_lines
+from .graphs import content_lines, int_pair
 
 
 class ColoringError(AwgraphError, ValueError):
@@ -75,15 +75,7 @@ def parse_coloring_fields(text: str) -> tuple[tuple[int, ...], int]:
         raise ColoringFormatError(
             f"expected header and one color line, got {len(lines)} lines"
         )
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ColoringFormatError(f"header must be '<n> <r>', got {lines[0]!r}")
-    try:
-        n, r = int(head[0]), int(head[1])
-    except ValueError:
-        raise ColoringFormatError(
-            f"header must be two integers, got {lines[0]!r}"
-        ) from None
+    n, r = int_pair(lines[0], "header", "<n> <r>", ColoringFormatError)
     if n < 1 or r < 1:
         raise ColoringFormatError(f"need n >= 1 and r >= 1, got n={n} r={r}")
     parts = lines[1].split()

@@ -207,9 +207,31 @@ def build_grid(m: int, n: int) -> tuple[Graph, GridCoordinates]:
 # ======================================================================
 
 
+# Three readers serve every text format: content_lines, int_pair for a line
+# of two integers, int_field for one integer token.  Each caller names its
+# field and passes its error class, so each format keeps its own wording.
 def content_lines(text: str) -> list[str]:
     """The stripped lines of text that count: all but blank lines and '#' comments."""
     return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+
+
+def int_pair(line: str, what: str, form: str, error: type[Exception]) -> tuple[int, int]:
+    """The two integers of line, else error naming what and its form."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise error(f"{what} must be '{form}', got {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise error(f"{what} must be two integers, got {line!r}") from None
+
+
+def int_field(token: str, what: str, error: type[Exception]) -> int:
+    """The integer token, surrounding whitespace ignored, else error naming what."""
+    try:
+        return int(token.strip())
+    except ValueError:
+        raise error(f"{what} must be an integer, got {token!r}") from None
 
 
 def parse_graph(text: str) -> Graph:
@@ -223,15 +245,7 @@ def parse_graph(text: str) -> Graph:
     lines = content_lines(text)
     if not lines:
         raise MalformedHeaderError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedHeaderError(f"header must be '<n> <m>', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise MalformedHeaderError(
-            f"header must be two integers, got {lines[0]!r}"
-        ) from None
+    n, m = int_pair(lines[0], "header", "<n> <m>", MalformedHeaderError)
     if n < 1 or m < 0:
         raise MalformedHeaderError(f"need n >= 1 and m >= 0, got n={n} m={m}")
     body = lines[1:]
@@ -241,15 +255,7 @@ def parse_graph(text: str) -> Graph:
     # whose m cannot connect its n vertices allocates no n rows.
     rows: defaultdict[int, set[int]] = defaultdict(set)
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MalformedEdgeError(f"edge line must be '<u> <v>', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedEdgeError(
-                f"edge line must be two integers, got {ln!r}"
-            ) from None
+        u, v = int_pair(ln, "edge line", "<u> <v>", MalformedEdgeError)
         if not (0 <= u < n and 0 <= v < n):
             raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:

@@ -271,6 +271,12 @@ def check_r(r, n: int) -> None:
         raise ValueError(f"need 1 <= r <= n, got r={r} with n={n}")
 
 
+def check_budget(budget) -> None:
+    """Raise ValueError unless budget is an int (not a bool or a float)."""
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an int, got budget={budget!r}")
+
+
 def exists_rainbow_free_coloring(
     table: ApTable,
     r: int,
@@ -296,15 +302,14 @@ def iter_rainbow_free_changes(
 
     cols is the search's own list, valid until the next read; changed is the
     first vertex at which it differs from the solution before (0 for the
-    first).  r must be an int in 1..n (check_r) and budget an int, not a
-    bool or a float; else the call raises ValueError.  The search runs as
+    first).  r must be an int in 1..n (check_r) and budget an int
+    (check_budget); else the call raises ValueError.  The search runs as
     the iterator is read, so memory does not grow with the number of
     solutions.  Raises BudgetExceededError from the read on which more than
     budget nodes have been entered, the first read for a budget below 1.
     """
     check_r(r, table.n)
-    if type(budget) is not int:
-        raise ValueError(f"budget must be an int, got budget={budget!r}")
+    check_budget(budget)
     return _search(table, r, budget)
 
 
@@ -347,9 +352,11 @@ def compute_aw(
 
     When aw - 1 < k no (aw-1)-coloring can be rainbow, so the witness is the
     lex-least canonical exact one, (1,) * (n - aw + 2) + (2, ..., aw - 1),
-    built without a search and so without budget.
+    built without a search and so without budget.  Raises ValueError for a
+    k or a budget that check_k or check_budget refuses, searched or not.
     """
     check_k(k)
+    check_budget(budget)
     n = g.n
     aw = n + 1
     witness: Coloring | None = None

@@ -95,6 +95,15 @@ def test_k_validation():
             check_coloring(path5, bad_k, (1, 2, 3, 1, 2))
 
 
+def test_check_coloring_refuses_a_coloring_of_the_wrong_length():
+    # The length is checked first, before k, and at every k.
+    path4 = build_path(4)
+    for k, colors in ((3, (1, 2)), (3, (1, 2, 3, 1, 2)), (4, (1, 2, 3, 1, 2)), (1, (1, 2))):
+        message = rf"^coloring has {len(colors)} vertices but the graph has 4$"
+        with pytest.raises(ValueError, match=message):
+            check_coloring(path4, k, colors)
+
+
 def test_brute_force_guard():
     dist = all_pairs_distances(build_path(30))
     with pytest.raises(BudgetExceededError):

@@ -207,6 +207,11 @@ def test_malformed_notes_name_the_defect():
         (good.replace("K\n3\n", "K\n", 1), "section K has no content"),
         (good.replace("K\n3\n", "K\n3\n3\n", 1), "section K must be a single line"),
         (good.replace("3 true", "x true"), "PER_R line must start with an integer, got 'x true'"),
+        (good.replace("K\n3\n", "K\nthree\n", 1), "section K must be an integer, got 'three'"),
+        (
+            good.replace("CLAIMED_AW\n4\n", "CLAIMED_AW\n 4x \n", 1),
+            "section CLAIMED_AW must be an integer, got ' 4x'",
+        ),
     ):
         assert verify_certificate(text) == VerificationReport(VERDICT_MALFORMED, (note,))
 

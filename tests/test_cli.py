@@ -399,6 +399,13 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert (code, out) == (EXIT_USAGE, "")
 
+    # So is a coloring with more vertices than the graph.
+    long = tmp_path / "long.coloring"
+    long.write_text("5 3\n1 2 3 1 2\n", encoding="utf-8")
+    argv = ["verify", "--graph", "grid:2x3", "--k", "3", "--coloring", str(long)]
+    message = "error: coloring has 5 vertices but the graph has 6\n"
+    assert run(capsys, argv) == (EXIT_USAGE, "", message)
+
     # A color left unused is refused like any other malformed coloring file.
     inexact = tmp_path / "inexact.coloring"
     inexact.write_text("3 3\n1 2 2\n", encoding="utf-8")
@@ -445,6 +452,13 @@ def test_usage_error_messages(capsys):
         (
             ["extremal", "--graph", "path:3", "--k", "1", "--r", "2"],
             "k-APs need k >= 2, got k=1",
+        ),
+        (["aw", "--graph", "grid:ax3", "--k", "3"], "grid rows must be an integer, got 'a'"),
+        (["aw", "--graph", "grid:2xb", "--k", "3"], "grid columns must be an integer, got 'b'"),
+        (["aw", "--graph", "path:z", "--k", "3"], "path size must be an integer, got 'z'"),
+        (
+            ["aw", "--graph", "product:path:2,cycle:q", "--k", "3"],
+            "cycle size must be an integer, got 'q'",
         ),
     ):
         assert run(capsys, argv) == (EXIT_USAGE, "", f"error: {line}\n"), argv

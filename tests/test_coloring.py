@@ -81,3 +81,10 @@ def test_parse_coloring_rejections():
         parse_coloring("x 2\n1 2\n")
     with pytest.raises(ColoringFormatError, match="need n >= 1 and r >= 1"):
         parse_coloring("2 0\n1 1\n")
+    for text, message in (
+        ("not a header\n1 2\n", "header must be '<n> <r>', got 'not a header'"),
+        ("x 2\n1 2\n", "header must be two integers, got 'x 2'"),
+    ):
+        with pytest.raises(ColoringFormatError) as exc:
+            parse_coloring(text)
+        assert str(exc.value) == message, text

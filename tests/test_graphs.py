@@ -120,6 +120,15 @@ def test_parse_graph_distinct_errors():
             parse_graph(header + "\n")
     with pytest.raises(MalformedEdgeError, match="two integers"):
         parse_graph("2 1\n0 x\n")
+    for text, error, message in (
+        ("3\n0 1\n", MalformedHeaderError, "header must be '<n> <m>', got '3'"),
+        ("x y\n", MalformedHeaderError, "header must be two integers, got 'x y'"),
+        ("3 1\n0 1 2\n", MalformedEdgeError, "edge line must be '<u> <v>', got '0 1 2'"),
+        ("2 1\n0 x\n", MalformedEdgeError, "edge line must be two integers, got '0 x'"),
+    ):
+        with pytest.raises(error) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message, text
     # Enough edges to connect four vertices, but they close a triangle.
     with pytest.raises(DisconnectedGraphError, match="graph file describes a disconnected graph"):
         parse_graph("4 3\n0 1\n1 2\n0 2\n")

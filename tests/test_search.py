@@ -432,6 +432,11 @@ def test_argument_validation():
                 call(table, 3, budget=bad_budget)
         with pytest.raises(ValueError, match=message):
             compute_aw(g, 3, budget=bad_budget)
+    # Also when k > n and nothing is searched.
+    for bad_budget in (None, "x"):
+        message = rf"^budget must be an int, got budget={bad_budget!r}$"
+        with pytest.raises(ValueError, match=message):
+            compute_aw(build_path(2), 3, budget=bad_budget)
 
 
 def test_polychromatic_path_frozen():

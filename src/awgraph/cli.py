@@ -10,8 +10,9 @@ product:<spec>,<spec> (nesting depth at most 3), file:<path>.
 Exit codes: 0 success, 1 reported mismatch or failed bound, 2 usage or
 validation error, 3 node budget exceeded.  --budget overrides the default
 node budget.  A bad --k, --r or --budget is refused before any distance
-or AP is computed.  extremal writes each row as the search finds it, so on
-exit 3 its stdout is a prefix of the full output.  aw --cert and construct
+or AP is computed.  extremal writes its rows in blocks of up to 1,024 as
+the search finds them, and every row found before any exit, so on exit 3
+its stdout is a prefix of the full output.  aw --cert and construct
 --out write their file before they print, so on exit 2 stdout stays empty.
 
 main(argv) may be called any number of times in one process.  The parser
@@ -26,6 +27,7 @@ import functools
 import math
 import os
 import sys
+from itertools import islice
 
 from .aps import check_k, enumerate_k_aps
 from .certify import check_coloring, emit_certificate
@@ -59,6 +61,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _MAX_PRODUCT_DEPTH = 3
+# extremal writes its rows in blocks of up to this many, one write each.
+_ROW_BLOCK = 1024
 
 
 class SpecError(AwgraphError, ValueError):
@@ -221,7 +225,8 @@ def cmd_verify(args) -> int:
 def cmd_extremal(args) -> int:
     g, _ = parse_graph_spec(args.graph)
     r = args.r
-    # Each argument is checked before any distance; rows are written as found.
+    # Each argument is checked before any distance.  Rows are written as found,
+    # in blocks of up to _ROW_BLOCK, and every row found before any exit.
     check_k(args.k)
     budget = _budget_from(args)
     check_r(r, g.n)
@@ -231,10 +236,21 @@ def cmd_extremal(args) -> int:
     print(f"k = {args.k}")
     print(f"r = {r}")
     write = sys.stdout.write
+    lines = coloring_lines(solutions, r)
+    block: list[str] = []
     count = 0
-    for line in coloring_lines(solutions, r):
-        write(f"coloring: {line}\n")
-        count += 1
+    while True:
+        try:
+            # extend keeps the rows it read when the stream raises partway.
+            block.extend(islice(lines, _ROW_BLOCK))
+        finally:
+            # Before any exception leaves, so a budget stop keeps every row.
+            if block:
+                write("coloring: " + "\ncoloring: ".join(block) + "\n")
+        count += len(block)
+        if len(block) < _ROW_BLOCK:
+            break
+        block.clear()
     print(f"count = {count}")
     print(f"labeled-count = {count} x {r}! = {count * math.factorial(r)}")
     return EXIT_OK

@@ -68,7 +68,8 @@ def parse_coloring_fields(text: str) -> tuple[tuple[int, ...], int]:
     """Structural parse of the coloring file format: the colors and r.
 
     Reads "<n> <r>" then n colors in 1..r; lines starting with '#' and blank
-    lines are ignored.  Exactness is left to Coloring itself.
+    lines are ignored.  The first bad color is named with its vertex.
+    Exactness is left to Coloring itself.
     """
     lines = content_lines(text)
     if len(lines) != 2:
@@ -81,16 +82,20 @@ def parse_coloring_fields(text: str) -> tuple[tuple[int, ...], int]:
     parts = lines[1].split()
     if len(parts) != n:
         raise ColoringFormatError(f"expected {n} colors, found {len(parts)}")
-    try:
-        values = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ColoringFormatError("colors must be integers") from None
-    for v, c in enumerate(values):
+    values = []
+    for v, part in enumerate(parts):
+        try:
+            c = int(part)
+        except ValueError:
+            raise ColoringFormatError(
+                f"color {part!r} at vertex {v} is not an integer"
+            ) from None
         if not 1 <= c <= r:
             raise ColoringFormatError(
                 f"color {c} at vertex {v} outside 1..{r}"
             )
-    return values, r
+        values.append(c)
+    return tuple(values), r
 
 
 def parse_coloring(text: str) -> Coloring:

@@ -15,8 +15,8 @@ domain, or when it leaves too few vertices with unrestricted domains to bring
 in the colors still missing from 1..r; both are decided at the choice, so no
 node is entered only to be cut.  Both cut only subtrees without a solution,
 so the results are those of the plain search.  The last vertex restricts
-nothing, so its colors are tried as leaves in one inner loop, and k = 3 and
-k = 4 APs are read by loops of their own.
+nothing, so each choice at vertex n - 2 walks its colors as leaves in one
+inner loop, and k = 3 and k = 4 APs are read by loops of their own.
 
 A search takes only the AP table, which fixes n and k, and r.  The engine is
 one generator, _search, read only by the stream iter_rainbow_free_changes.
@@ -105,18 +105,22 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     rejects the choice as an emptied domain does, without reading the rest
     of ahead[v].  Every node entered then has slack >= 0: no node is entered
     only to be cut, and the nodes skipped are exactly those a test on entry
-    would cut.  With r < k no AP can be rainbow and the domains stay
-    unrestricted.  Each node entered counts against the budget, leaves
-    included.
+    would cut.  With r < k no AP can be rainbow, so no choice reads
+    ahead[v] and the domains stay unrestricted.  Each node entered counts
+    against the budget, leaves included.
 
     No AP has n - 1 as its second-largest vertex, so ahead[n - 1] is empty
     and a color chosen for the last vertex neither restricts a domain nor is
-    rejected.  On entering n - 1 one inner loop walks its allowed colors in
-    ascending order as leaves, each counted as a node and yielded: at
-    slack >= 0 either top = r already, or n - 1 is free with top = r - 1 at
-    slack 0 and its one allowed color is r.  So a leaf's colors are in
-    restricted-growth form and reach r, and each result is an exact
-    r-coloring.  Between two yields every vertex from the lowest one
+    rejected.  So the loop never enters n - 1: each accepted choice at n - 2
+    counts that node, takes the allowed colors of n - 1 from the domains it
+    passes on, walks them in ascending order as leaves, each counted as a
+    node and yielded, and chooses again at n - 2 as if backtracked to from
+    n - 1.  The nodes counted and their order are those of entering n - 1
+    through the loop; with n = 1 the root is the last vertex, handled before
+    the loop.  At slack >= 0 either top = r already, or n - 1 is free with
+    top = r - 1 at slack 0 and its one allowed color is r.  So a leaf's
+    colors are in restricted-growth form and reach r, and each result is an
+    exact r-coloring.  Between two yields every vertex from the lowest one
     backtracked to up to n - 1 takes a new color, the lowest one a larger
     color than before, and no vertex below it changes, so changed is the
     lowest vertex reached by backtracking since the last yield, or n - 1
@@ -125,16 +129,28 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     k = table.k
     n = table.n
     full = (1 << r) - 1
-    # With r < k no AP can restrict a domain, so none is read.
-    ahead = table.ahead if r >= k else [()] * n
-    doms: list[list[int]] = [[full] * n] * n  # doms[v > 0] is set on entering v
-    bits = [0] * n
+    # Below this many colors in use no AP restricts a domain: k - 1, and with
+    # r < k, where no AP can be rainbow, r + 1, which top never reaches.
+    restrict_at = k - 1 if r >= k else r + 1
+    # From this top on a free vertex allows all of 1..r, below it 1..top + 1.
+    all_at = r - 1
+    ahead = table.ahead
     cols = [0] * n  # the chosen colors as ints, yielded at each solution
+    if n == 1:
+        # The root is the last vertex too, and r = 1: it and its one leaf.
+        if budget < 2:
+            raise _over_budget(budget, r, n)
+        cols[0] = 1
+        yield 0, cols
+        return
+    doms: list[list[int]] = [[full] * n] * (n - 1)  # doms[v > 0] is set on entering v
+    bits = [0] * n
     untried = [0] * n
     tops = [0] * n
     slacks = [0] * n
     nodes = 0
     last = n - 1
+    pen = n - 2  # a choice here enters the last vertex on the spot
     v = top = changed = 0
     # Unassigned vertices with an unrestricted domain, less the colors missing.
     slack = n - r
@@ -149,111 +165,120 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
             if slack < 0:
                 # A color in use would leave too few free vertices: only top + 1.
                 allowed = 1 << top
-            elif top < r - 1:
+            elif top < all_at:
                 allowed = (2 << top) - 1
-        if v == last:
-            # ahead[last] is empty: each color is a leaf, never rejected, and
-            # each one brings top to r.
-            while allowed:
+        tops[v] = top
+        slacks[v] = slack
+        while True:
+            while True:
+                while not allowed:
+                    if v == 0:
+                        return
+                    v -= 1
+                    if v < changed:
+                        changed = v
+                    allowed = untried[v]
                 low = allowed & -allowed
                 allowed ^= low
+                top = tops[v]
+                slack = slacks[v]
+                c = low.bit_length()
+                if c > top:
+                    top = c
+                    slack += 1
+                dom = given = doms[v]
+                if top < restrict_at:
+                    break
+                if k == 3:
+                    for a, w in ahead[v]:
+                        ba = bits[a]
+                        if ba != low:
+                            d = dom[w]
+                            nd = d & (ba | low)
+                            if nd != d:
+                                if not nd:
+                                    break
+                                if d == full:
+                                    slack -= 1
+                                    if slack < 0:
+                                        break
+                                if dom is given:
+                                    dom = given[:]
+                                dom[w] = nd
+                    else:
+                        break
+                elif k == 4:
+                    for a, b, _, w in ahead[v]:
+                        ba = bits[a]
+                        bb = bits[b]
+                        if ba != bb and not (ba | bb) & low:
+                            d = dom[w]
+                            nd = d & (ba | bb | low)
+                            if nd != d:
+                                if not nd:
+                                    break
+                                if d == full:
+                                    slack -= 1
+                                    if slack < 0:
+                                        break
+                                if dom is given:
+                                    dom = given[:]
+                                dom[w] = nd
+                    else:
+                        break
+                else:
+                    # Until v is assigned only this loop reads bits[v].  -1 meets every
+                    # color, so a walk of vs stops at v, and reaches v exactly when
+                    # low and the members below v carry pairwise distinct colors.
+                    bits[v] = -1
+                    for vs in ahead[v]:
+                        seen = low
+                        for u in vs:
+                            bu = bits[u]
+                            if seen & bu:
+                                break
+                            seen |= bu
+                        if u == v:
+                            w = vs[-1]
+                            d = dom[w]
+                            nd = d & seen
+                            if nd != d:
+                                if not nd:
+                                    break
+                                if d == full:
+                                    slack -= 1
+                                    if slack < 0:
+                                        break
+                                if dom is given:
+                                    dom = given[:]
+                                dom[w] = nd
+                    else:
+                        break
+            cols[v] = c
+            if v != pen:
+                break
+            # Enter the last vertex: count it, then walk its allowed colors as
+            # leaves.  By the loop top's rule a free last vertex at slack 0
+            # (so top = r - 1) allows only r; at slack > 0 top = r already.
+            nodes += 1
+            if nodes > budget:
+                raise _over_budget(budget, r, n)
+            leaves = dom[last]
+            if leaves == full and not slack:
+                leaves = 1 << top
+            while leaves:
+                leaf = leaves & -leaves
+                leaves ^= leaf
                 nodes += 1
                 if nodes > budget:
                     raise _over_budget(budget, r, n)
-                cols[v] = low.bit_length()
+                cols[last] = leaf.bit_length()
                 yield changed, cols
-                changed = v
-        else:
-            tops[v] = top
-            slacks[v] = slack
-        while True:
-            while not allowed:
-                if v == 0:
-                    return
-                v -= 1
-                if v < changed:
-                    changed = v
-                allowed = untried[v]
-            low = allowed & -allowed
-            allowed ^= low
-            top = tops[v]
-            slack = slacks[v]
-            c = low.bit_length()
-            if c > top:
-                top = c
-                slack += 1
-            dom = given = doms[v]
-            # Fewer than k - 1 colors in use cannot restrict anything.
-            if top < k - 1:
-                break
-            if k == 3:
-                for a, w in ahead[v]:
-                    ba = bits[a]
-                    if ba != low:
-                        d = dom[w]
-                        nd = d & (ba | low)
-                        if nd != d:
-                            if not nd:
-                                break
-                            if d == full:
-                                slack -= 1
-                                if slack < 0:
-                                    break
-                            if dom is given:
-                                dom = given[:]
-                            dom[w] = nd
-                else:
-                    break
-            elif k == 4:
-                for a, b, _, w in ahead[v]:
-                    ba = bits[a]
-                    bb = bits[b]
-                    if ba != bb and not (ba | bb) & low:
-                        d = dom[w]
-                        nd = d & (ba | bb | low)
-                        if nd != d:
-                            if not nd:
-                                break
-                            if d == full:
-                                slack -= 1
-                                if slack < 0:
-                                    break
-                            if dom is given:
-                                dom = given[:]
-                            dom[w] = nd
-                else:
-                    break
-            else:
-                # Until v is assigned only this loop reads bits[v].  -1 meets every
-                # color, so a walk of vs stops at v, and reaches v exactly when
-                # low and the members below v carry pairwise distinct colors.
-                bits[v] = -1
-                for vs in ahead[v]:
-                    seen = low
-                    for u in vs:
-                        bu = bits[u]
-                        if seen & bu:
-                            break
-                        seen |= bu
-                    if u == v:
-                        w = vs[-1]
-                        d = dom[w]
-                        nd = d & seen
-                        if nd != d:
-                            if not nd:
-                                break
-                            if d == full:
-                                slack -= 1
-                                if slack < 0:
-                                    break
-                            if dom is given:
-                                dom = given[:]
-                            dom[w] = nd
-                else:
-                    break
+                changed = last
+            # Choose again at pen, as a backtrack from the last vertex would.
+            changed = pen
         untried[v] = allowed
         bits[v] = low
-        cols[v] = c
         v += 1
         doms[v] = dom
 

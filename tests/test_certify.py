@@ -212,6 +212,10 @@ def test_malformed_notes_name_the_defect():
             good.replace("CLAIMED_AW\n4\n", "CLAIMED_AW\n 4x \n", 1),
             "section CLAIMED_AW must be an integer, got ' 4x'",
         ),
+        (
+            good.replace("6 3\n1 1 2 3 1 1\n", "6 3\n1 1 2 z 1 1\n", 1),
+            "bad WITNESS section: color 'z' at vertex 3 is not an integer",
+        ),
     ):
         assert verify_certificate(text) == VerificationReport(VERDICT_MALFORMED, (note,))
 

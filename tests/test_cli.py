@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from awgraph import (
+    BudgetExceededError,
     Coloring,
     all_pairs_distances,
     build_path,
@@ -33,6 +34,7 @@ from awgraph.cli import (
     main,
     parse_graph_spec,
 )
+from awgraph.search import iter_rainbow_free_changes
 from prop_helpers import small_corpus
 
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -503,9 +505,16 @@ def test_budget_exit_codes(capsys):
         assert "count =" not in out
         assert out.count("\n") == 3 + rows
         assert err == f"error: search expanded more than {budget} nodes (r=2, n=12)\n"
-    # The enumeration enters 4,095 nodes.  At every 37th budget below that,
-    # the rows written are whole: each row is built from the one before.
+    # The enumeration enters 4,095 nodes and finds 2,047 rows, written in
+    # blocks.  At every 37th budget below that, the rows written are whole
+    # (each row is built from the one before), and they are every row the
+    # stream yields before the budget stops it, within a block or past one.
+    table = enumerate_k_aps(all_pairs_distances(parse_graph_spec("grid:3x4")[0]), 3)
     for budget in range(1, 4095, 37):
+        found = 0
+        with pytest.raises(BudgetExceededError):
+            for _ in iter_rainbow_free_changes(table, 2, budget=budget):
+                found += 1
         code, out, _ = run(capsys, argv + ["--budget", str(budget)])
         assert code == EXIT_BUDGET, budget
         assert out.startswith(header) and full.startswith(out), budget
@@ -514,6 +523,7 @@ def test_budget_exit_codes(capsys):
             row.startswith("coloring: ") and row.endswith("\n") and len(row.split()) == 13
             for row in rows
         ), budget
+        assert len(rows) == found, budget
         assert "count =" not in out, budget
     assert run(capsys, argv + ["--budget", "4095"]) == (EXIT_OK, full, "")
 

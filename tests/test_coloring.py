@@ -84,6 +84,7 @@ def test_parse_coloring_rejections():
     for text, message in (
         ("not a header\n1 2\n", "header must be '<n> <r>', got 'not a header'"),
         ("x 2\n1 2\n", "header must be two integers, got 'x 2'"),
+        ("2 2\n1 x\n", "color 'x' at vertex 1 is not an integer"),
     ):
         with pytest.raises(ColoringFormatError) as exc:
             parse_coloring(text)

@@ -317,6 +317,11 @@ NODE_COUNTS = [
     # Every leaf counts but the all-ones one, which misses color 2.
     (build_path(12), 3, 2, True, 4095),
     (build_path(1), 2, 1, True, 2),  # the first vertex is also the last
+    # The root is vertex n - 2, so the last vertex is walked at its choice.
+    (build_path(2), 2, 1, True, 3),
+    (build_path(2), 2, 2, False, 1),
+    (build_path(2), 3, 2, True, 3),
+    (build_path(3), 3, 2, True, 7),
     # aw(C_9, 3) = 4.  C_9 is not bipartite: its equilateral 3-sets, in which
     # every member is a middle, have odd d (the grids' have even d).
     (build_cycle(9), 3, 4, False, 14),  # nonexistence proof

@@ -8,12 +8,13 @@ Graph specs: path:N, cycle:N, complete:N, star:N, grid:MxN,
 product:<spec>,<spec> (nesting depth at most 3), file:<path>.
 
 Exit codes: 0 success, 1 reported mismatch or failed bound, 2 usage or
-validation error, 3 node budget exceeded.  --budget overrides the default
-node budget.  A bad --k, --r or --budget is refused before any distance
-or AP is computed.  extremal writes its rows in blocks of up to 1,024 as
-the search finds them, and every row found before any exit, so on exit 3
-its stdout is a prefix of the full output.  aw --cert and construct
---out write their file before they print, so on exit 2 stdout stays empty.
+validation error, 3 node budget exceeded, 130 interrupted (Ctrl-C).
+--budget overrides the default node budget.  A bad --k, --r or --budget
+is refused before any distance or AP is computed.  extremal writes its
+rows in blocks of up to 1,024 as the search finds them, and every row
+found before any exit, so on exit 3 or 130 its stdout is a prefix of the
+full output.  aw --cert and construct --out write their file before they
+print, so on exit 2 stdout stays empty.
 
 main(argv) may be called any number of times in one process.  The parser
 is built on the first call, not on import, and every later call reuses it.
@@ -59,6 +60,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 _MAX_PRODUCT_DEPTH = 3
 # extremal writes its rows in blocks of up to this many, one write each.
@@ -375,6 +377,9 @@ def main(argv=None) -> int:
     except (AwgraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

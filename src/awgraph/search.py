@@ -260,9 +260,8 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
             # Enter the last vertex: count it, then walk its allowed colors as
             # leaves.  By the loop top's rule a free last vertex at slack 0
             # (so top = r - 1) allows only r; at slack > 0 top = r already.
+            # Budget checked at the first leaf: no accepted choice empties dom[last].
             nodes += 1
-            if nodes > budget:
-                raise _over_budget(budget, r, n)
             leaves = dom[last]
             if leaves == full and not slack:
                 leaves = 1 << top

@@ -1,17 +1,23 @@
-"""Shared corpora, property checks and helpers used by the unit and acceptance tests.
+"""Shared corpora, property checks, suites and helpers used by the unit and acceptance tests.
 
 The checks here are deliberately written against first principles (distance
-matrices and explicit loops), not against the search engine they validate,
-so every property test compares two independent routes.  The helpers in the
-first section are used only by the tests and are not part of the awgraph API.
+matrices and explicit loops), not against the search engine they validate.
+Each exhaustive suite enumerates with the search and re-checks with these
+first-principles helpers, so every property test compares two independent
+routes; a module test and the acceptance gate both assert that it returns
+no violations.  The helpers in the first section are used only by the tests
+and are not part of the awgraph API.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations, permutations, product as iproduct
 
 from awgraph import (
+    GRID_COLORINGS,
+    ApTable,
     Coloring,
     Graph,
     GridCoordinates,
@@ -22,6 +28,11 @@ from awgraph import (
     build_grid,
     build_path,
     build_star,
+    cartesian_product,
+    compute_aw,
+    enumerate_k_aps,
+    enumerate_rainbow_free_colorings,
+    find_rainbow_ap,
 )
 from awgraph.graphs import DisconnectedGraphError, GraphError, distances_from
 
@@ -257,42 +268,25 @@ def check_block_confinement(colors, m: int, n: int) -> list[str]:
     For c(i, j) != c(i-1, j+1), every vertex weakly below-right of (i, j+1)
     or weakly above-left of (i-1, j) lies on a 3-AP through the pair (it is
     equidistant from both), so a rainbow-free coloring restricts those two
-    quadrants to the pair's colors.  The mirrored diagonal is checked too.
+    quadrants to the pair's colors.  The mirrored diagonal is checked by the
+    same rule on the column-reversed coloring.
     """
     _, coords = build_grid(m, n)
     bad = []
-
-    def cell(i, j):
-        return colors[coords.vertex(i, j)]
-
-    for i in range(2, m + 1):
-        for j in range(1, n):
-            c1, c2 = cell(i, j), cell(i - 1, j + 1)
-            if c1 == c2:
-                continue
-            pair = {c1, c2}
-            for a in range(1, m + 1):
-                for b in range(1, n + 1):
+    for side, cs in (("", colors), ("mirrored ", grid_flip_horizontal(colors, m, n))):
+        cell = {(i, j): cs[coords.vertex(i, j)] for i in range(1, m + 1) for j in range(1, n + 1)}
+        for i in range(2, m + 1):
+            for j in range(1, n):
+                pair = {cell[i, j], cell[i - 1, j + 1]}
+                if len(pair) == 1:
+                    continue
+                for (a, b), c in cell.items():
                     lower = a >= i and b >= j + 1
                     upper = a <= i - 1 and b <= j
-                    if (lower or upper) and cell(a, b) not in pair:
+                    if (lower or upper) and c not in pair:
                         bad.append(
-                            f"({i},{j})/({i - 1},{j + 1}) colors {c1},{c2}"
-                            f" but ({a},{b}) has {cell(a, b)}"
-                        )
-        for j in range(2, n + 1):
-            c1, c2 = cell(i, j), cell(i - 1, j - 1)
-            if c1 == c2:
-                continue
-            pair = {c1, c2}
-            for a in range(1, m + 1):
-                for b in range(1, n + 1):
-                    lower = a >= i and b <= j - 1
-                    upper = a <= i - 1 and b >= j
-                    if (lower or upper) and cell(a, b) not in pair:
-                        bad.append(
-                            f"({i},{j})/({i - 1},{j - 1}) colors {c1},{c2}"
-                            f" but ({a},{b}) has {cell(a, b)}"
+                            f"{side}({i},{j})/({i - 1},{j + 1}) colors {sorted(pair)}"
+                            f" but ({a},{b}) has {c}"
                         )
     return bad
 
@@ -300,33 +294,28 @@ def check_block_confinement(colors, m: int, n: int) -> list[str]:
 def check_monochromatic_lines(colors, m: int, n: int) -> list[str]:
     """A one-color row (column) allows at most one extra color per side."""
     _, coords = build_grid(m, n)
+    rows = [[colors[v] for v in row_vertices(coords, i)] for i in range(1, m + 1)]
+    cols = list(zip(*rows))
     bad = []
-    for i in range(1, m + 1):
-        row = {colors[v] for v in row_vertices(coords, i)}
-        if len(row) != 1:
-            continue
-        above = {colors[coords.vertex(a, b)] for a in range(1, i) for b in range(1, n + 1)}
-        below = {colors[coords.vertex(a, b)] for a in range(i + 1, m + 1) for b in range(1, n + 1)}
-        for side, name in ((above, "above"), (below, "below")):
-            if len(side | row) > 2:
-                bad.append(f"mono row {i} color {row} sees {side} {name}")
-    for j in range(1, n + 1):
-        col = {colors[v] for v in column_vertices(coords, j)}
-        if len(col) != 1:
-            continue
-        left = {colors[coords.vertex(a, b)] for a in range(1, m + 1) for b in range(1, j)}
-        right = {colors[coords.vertex(a, b)] for a in range(1, m + 1) for b in range(j + 1, n + 1)}
-        for side, name in ((left, "left"), (right, "right")):
-            if len(side | col) > 2:
-                bad.append(f"mono column {j} color {col} sees {side} {name}")
+    for kind, lines, names in (("row", rows, ("above", "below")), ("column", cols, ("left", "right"))):
+        for i, line in enumerate(lines):
+            if len(set(line)) != 1:
+                continue
+            for side, name in zip((lines[:i], lines[i + 1 :]), names):
+                seen = set(line).union(*side)
+                if len(seen) > 2:
+                    bad.append(f"mono {kind} {i + 1} color {set(line)} sees {seen} {name}")
     return bad
+
+
+def layer_colors(coloring: Coloring, g: Graph, h: Graph) -> list[set[int]]:
+    """The colors of each layer of G box H (a copy of G), one set per vertex of H."""
+    return [{coloring.colors[v] for v in range(j, g.n * h.n, h.n)} for j in range(h.n)]
 
 
 def check_layer_color_spread(coloring: Coloring, g: Graph, h: Graph) -> list[str]:
     """Any two layers (copies of the left factor) differ by at most one color."""
-    layers = [
-        {coloring.colors[v] for v in range(j, g.n * h.n, h.n)} for j in range(h.n)
-    ]
+    layers = layer_colors(coloring, g, h)
     bad = []
     for i in range(h.n):
         for j in range(h.n):
@@ -341,9 +330,7 @@ def check_adjacent_layer_union(coloring: Coloring, g: Graph, h: Graph) -> list[s
 
     Returns [] as well when some layer carries more (the premise fails).
     """
-    layers = [
-        {coloring.colors[v] for v in range(j, g.n * h.n, h.n)} for j in range(h.n)
-    ]
+    layers = layer_colors(coloring, g, h)
     if any(len(c) > 2 for c in layers):
         return []
     bad = []
@@ -403,3 +390,158 @@ def grid_flip_horizontal(colors, m: int, n: int) -> tuple[int, ...]:
         for j in range(1, n + 1):
             out[coords.vertex(i, j)] = colors[coords.vertex(i, n + 1 - j)]
     return tuple(out)
+
+
+# ======================================================================
+# Exhaustive suites (each returns a list of violation strings)
+# ======================================================================
+
+
+def table(g: Graph, k: int = 3) -> ApTable:
+    """The k-AP table of g, the input of every search."""
+    return enumerate_k_aps(all_pairs_distances(g), k)
+
+
+def _suite(cases):
+    """Make a suite of cases, a generator of pairs (instance, its violations).
+
+    The suite lists every violation, and one more when cases yields nothing,
+    since a suite that checked nothing shows nothing.
+    """
+
+    @functools.wraps(cases)
+    def suite(*args) -> list[str]:
+        bad = []
+        checked = 0
+        for instance, found in cases(*args):
+            checked += 1
+            bad += [f"{cases.__name__}: {instance}: {v}" for v in found]
+        return bad if checked else [f"{cases.__name__}: nothing checked"]
+
+    return suite
+
+
+def _grid_colorings():
+    """(m, n, coloring) for every rainbow-free exact r >= 3 coloring of a grid up to 12 cells."""
+    for m in range(2, 7):
+        for n in range(2, 12 // m + 1):
+            aps = table(build_grid(m, n)[0])
+            for r in range(3, m * n + 1):
+                for coloring in enumerate_rainbow_free_colorings(aps, r):
+                    yield m, n, coloring
+
+
+def _product_colorings():
+    """(name, g, h, coloring) for every rainbow-free exact 3- or 4-coloring of a corpus product."""
+    for name, g, h in corpus_products():
+        aps = table(cartesian_product(g, h))
+        for r in (3, 4):
+            for coloring in enumerate_rainbow_free_colorings(aps, r):
+                yield name, g, h, coloring
+
+
+@_suite
+def suite_isometric_lifting():
+    """An isometric subgraph's k-APs, k = 3 and 4, are the ambient ones inside it."""
+    for name, g in small_corpus():
+        dist = all_pairs_distances(g)
+        subsets = isometric_subsets(g, dist)
+        for k in (3, 4):
+            ambient = {ap.vertices for ap in enumerate_k_aps(dist, k).aps}
+            for subset in subsets:
+                if len(subset) < k:
+                    continue
+                lifted = {
+                    tuple(subset[i] for i in ap.vertices)
+                    for ap in table(induced_subgraph(g, subset), k).aps
+                }
+                inside = {vs for vs in ambient if set(vs) <= set(subset)}
+                found = [] if lifted == inside else [f"lifted {lifted}, inside {inside}"]
+                yield f"{name} k={k} subset {subset}", found
+
+
+@_suite
+def suite_isometric_color_bound():
+    """A rainbow-free coloring puts fewer than aw(H, 3) colors on an isometric subgraph H.
+
+    Checked on the rainbow-free exact 3-colorings of grids 2x3 and 2x5 and
+    of the corpus graphs with 3 to 6 vertices.
+    """
+    aw = functools.cache(lambda sub: compute_aw(sub, 3).aw)
+    instances = [(f"grid:{m}x{n}", build_grid(m, n)[0]) for m, n in ((2, 3), (2, 5))]
+    instances += [(name, g) for name, g in small_corpus() if 3 <= g.n <= 6]
+    for name, g in instances:
+        subsets = isometric_subsets(g, all_pairs_distances(g))
+        for coloring in enumerate_rainbow_free_colorings(table(g), 3):
+            for subset in subsets:
+                bound = aw(induced_subgraph(g, subset))
+                used = len({coloring.colors[v] for v in subset})
+                found = [f"{used} colors, aw {bound}"] if used >= bound else []
+                yield f"{name} {coloring.colors} subset {subset}", found
+
+
+@_suite
+def suite_layer_spread():
+    """check_layer_color_spread on every rainbow-free coloring of the corpus products."""
+    for name, g, h, c in _product_colorings():
+        yield f"{name} {c.colors}", check_layer_color_spread(c, g, h)
+
+
+@_suite
+def suite_adjacent_layer_union():
+    """check_adjacent_layer_union on the corpus products' colorings where its premise holds."""
+    for name, g, h, c in _product_colorings():
+        if all(len(layer) <= 2 for layer in layer_colors(c, g, h)):
+            yield f"{name} {c.colors}", check_adjacent_layer_union(c, g, h)
+
+
+@_suite
+def suite_block_confinement():
+    """check_block_confinement on every rainbow-free coloring of the grids up to 12 cells."""
+    for m, n, c in _grid_colorings():
+        yield f"{m}x{n} {c.colors}", check_block_confinement(c.colors, m, n)
+
+
+@_suite
+def suite_monochromatic_lines():
+    """check_monochromatic_lines on every rainbow-free coloring of the grids up to 12 cells."""
+    for m, n, c in _grid_colorings():
+        yield f"{m}x{n} {c.colors}", check_monochromatic_lines(c.colors, m, n)
+
+
+@_suite
+def suite_polychromatic_paths(seed: int):
+    """find_polychromatic_path on five random exact 3- and 4-colorings of each corpus graph."""
+    rng = random.Random(seed)
+    for name, g in small_corpus():
+        for r in range(3, min(4, g.n) + 1):
+            for _ in range(5):
+                coloring = random_exact_coloring(g.n, r, rng)
+                path = find_polychromatic_path(g, coloring)
+                found = check_polychromatic_path(g, coloring, path)
+                yield f"{name} {coloring.colors} path {path}", found
+
+
+@_suite
+def suite_grid_aw(expected: dict[tuple[int, int], int]):
+    """compute_aw(grid m x n, 3) against expected[(m, n)]."""
+    for (m, n), want in sorted(expected.items()):
+        got = compute_aw(build_grid(m, n)[0], 3).aw
+        yield f"{m}x{n}", [] if got == want else [f"search {got}, expected {want}"]
+
+
+# Every admissible corner grid up to 30 cells, and five two-red-corner grids.
+CONSTRUCTION_GRIDS = {
+    "corner": [
+        (m, n) for m in range(1, 31) for n in range(1, 31) if 3 <= m * n <= 30 and (m + n) % 2
+    ],
+    "two-red-corner": [(4, 4), (4, 6), (5, 5), (4, 8), (6, 6)],
+}
+
+
+@_suite
+def suite_grid_coloring(name: str):
+    """GRID_COLORINGS[name] has no rainbow 3-AP on any grid of CONSTRUCTION_GRIDS[name]."""
+    for m, n in CONSTRUCTION_GRIDS[name]:
+        ap = find_rainbow_ap(table(build_grid(m, n)[0]), GRID_COLORINGS[name](m, n).colors)
+        yield f"{name} {m}x{n}", [] if ap is None else [f"rainbow 3-AP {ap.vertices}"]

@@ -9,7 +9,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,6 +29,7 @@ from awgraph import (
 from awgraph.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_USAGE,
     GRID_COLORINGS,
@@ -563,6 +566,34 @@ def test_deep_graph_exhausts_budget_without_traceback(capsys):
     assert code == EXIT_BUDGET
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_interrupted_extremal_exits_130_with_the_rows_found(capsys, monkeypatch):
+    # Ctrl-C after 1,500 rows, past the first block of 1,024: the pending
+    # block is written, the count lines are not, and no traceback escapes.
+    argv = ["extremal", "--graph", "grid:3x4", "--k", "3", "--r", "2"]
+    _, full, _ = run(capsys, argv)
+
+    def interrupted(table, r, budget):
+        yield from islice(iter_rainbow_free_changes(table, r, budget=budget), 1500)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("awgraph.cli.iter_rainbow_free_changes", interrupted)
+    try:
+        code, out, err = run(capsys, argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert (code, err) == (EXIT_INTERRUPTED, "error: interrupted\n")
+    assert out == "".join(full.splitlines(keepends=True)[: 3 + 1500])
+
+
+def test_interrupted_aw_exits_130_with_nothing_on_stdout(capsys, monkeypatch):
+    monkeypatch.setattr("awgraph.cli.compute_aw", mock.Mock(side_effect=KeyboardInterrupt))
+    try:
+        result = run(capsys, ["aw", "--graph", "grid:3x4", "--k", "3"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert result == (EXIT_INTERRUPTED, "", "error: interrupted\n")
 
 
 def test_repeat_byte_identical(capsys):

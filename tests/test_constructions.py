@@ -1,7 +1,7 @@
 """Explicit grid colorings, the grid closed form, and the product bound."""
 
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
 import networkx
 import pytest
@@ -11,7 +11,6 @@ from awgraph import (
     VERDICT_WITNESS_VALID,
     Graph,
     GraphError,
-    all_pairs_distances,
     build_cycle,
     build_grid,
     build_path,
@@ -21,7 +20,6 @@ from awgraph import (
     construct_corner_coloring,
     construct_two_red_coloring,
     emit_certificate,
-    enumerate_k_aps,
     exists_rainbow_free_coloring,
     find_rainbow_ap,
     grid_formula_table,
@@ -30,14 +28,8 @@ from awgraph import (
 )
 from awgraph import search
 import plain_engine
-from prop_helpers import connected_graphs
+from prop_helpers import connected_graphs, suite_grid_coloring, table
 from test_search import AW_GRID
-
-
-def _is_rainbow_free(m, n, coloring):
-    g, _ = build_grid(m, n)
-    table = enumerate_k_aps(all_pairs_distances(g), 3)
-    return find_rainbow_ap(table, coloring.colors) is None
 
 
 def test_corner_frozen_small():
@@ -54,14 +46,7 @@ def test_corner_rejects_inadmissible_dims():
 
 
 def test_corner_rainbow_free_everywhere_admissible():
-    checked = 0
-    for m in range(1, 31):
-        for n in range(1, 31):
-            if m * n < 3 or m * n > 30 or (m + n) % 2 == 0:
-                continue
-            assert _is_rainbow_free(m, n, construct_corner_coloring(m, n)), (m, n)
-            checked += 1
-    assert checked > 0
+    assert suite_grid_coloring("corner") == []
 
 
 def test_two_red_frozen_layout():
@@ -77,8 +62,7 @@ def test_two_red_rejects_inadmissible_dims():
 
 
 def test_two_red_rainbow_free():
-    for m, n in ((4, 4), (4, 6), (5, 5), (4, 8), (6, 6)):
-        assert _is_rainbow_free(m, n, construct_two_red_coloring(m, n)), (m, n)
+    assert suite_grid_coloring("two-red-corner") == []
 
 
 def test_grid_colorings_by_name():
@@ -141,21 +125,10 @@ def test_product_bound_small():
     assert report.passed
     assert report.witness is not None
     assert report.witness.r == 3
-    assert _is_rainbow_free(2, 3, report.witness)
+    assert find_rainbow_ap(table(build_grid(2, 3)[0]), report.witness.colors) is None
 
     with pytest.raises(ValueError):
         verify_product_bound(build_path(1), build_path(2))
-
-
-def _isomorphic(a, b):
-    if a.n != b.n or a.m != b.m:
-        return False
-    ea = set(a.edges())
-    for perm in permutations(range(b.n)):
-        eb = {tuple(sorted((perm[u], perm[v]))) for u, v in b.edges()}
-        if eb == ea:
-            return True
-    return False
 
 
 def test_connected_graphs_catalog():
@@ -165,10 +138,8 @@ def test_connected_graphs_catalog():
         assert len(graphs) == want, n
         for g in graphs:
             assert g.n == n
-    four = connected_graphs(4)
-    for i in range(len(four)):
-        for j in range(i + 1, len(four)):
-            assert not _isomorphic(four[i], four[j]), (i, j)
+    for a, b in combinations(connected_graphs(4), 2):
+        assert not networkx.is_isomorphic(networkx.Graph(a.edges()), networkx.Graph(b.edges()))
     with pytest.raises(ValueError):
         connected_graphs(7)
     with pytest.raises(GraphError):
@@ -250,8 +221,8 @@ def test_product_bound_path3_and_cycle3_on_seven_vertices(monkeypatch):
         assert report.verdict == VERDICT_WITNESS_VALID, (i, report.notes)
     monkeypatch.setattr(search, "_search", plain_engine._search)
     for i in P3_AW4_ATLAS[::20]:
-        table = enumerate_k_aps(all_pairs_distances(cartesian_product(p3, graphs[i])), 3)
-        assert exists_rainbow_free_coloring(table, 3) == aws[i][0].witness, i
+        aps = table(cartesian_product(p3, graphs[i]))
+        assert exists_rainbow_free_coloring(aps, 3) == aws[i][0].witness, i
 
 
 # The unordered factor pairs with 2 <= |G| <= |H| <= 5 and aw(G box H, 3) = 4,

@@ -21,17 +21,18 @@ from awgraph import (
     exists_rainbow_free_coloring,
 )
 from awgraph.search import iter_rainbow_free_changes
+import prop_helpers
 from prop_helpers import (
     assert_lex_sorted_canonical,
     brute_force_aw,
     canonicalize,
-    check_polychromatic_path,
     find_polychromatic_path,
     grid_flip_horizontal,
     is_canonical,
     labeled_rainbow_free,
-    random_exact_coloring,
     small_corpus,
+    suite_grid_aw,
+    suite_polychromatic_paths,
 )
 
 # aw(P_m x P_n, 3), confirmed against the brute-force oracle below.
@@ -50,26 +51,22 @@ AW_GRID = {
 }
 
 
-def _table(g, k=3):
-    return enumerate_k_aps(all_pairs_distances(g), k)
-
-
 def test_exists_one_color_always():
     # A single color can never be rainbow for k >= 3.
     for name, g in small_corpus():
-        c = exists_rainbow_free_coloring(_table(g), 1)
+        c = exists_rainbow_free_coloring(prop_helpers.table(g), 1)
         assert c is not None, name
         assert c.colors == (1,) * g.n, name
 
 
 def test_exists_none_when_every_coloring_rainbow():
     g, _ = build_grid(2, 2)
-    assert exists_rainbow_free_coloring(_table(g), 3) is None
+    assert exists_rainbow_free_coloring(prop_helpers.table(g), 3) is None
 
 
 def test_exists_returns_lex_least():
     g, _ = build_grid(2, 3)
-    c = exists_rainbow_free_coloring(_table(g), 3)
+    c = exists_rainbow_free_coloring(prop_helpers.table(g), 3)
     assert c == Coloring((1, 1, 2, 3, 1, 1), 3)
 
 
@@ -87,14 +84,14 @@ def test_enumerate_frozen_grids():
     }
     for (m, n), colorings in expected.items():
         g, _ = build_grid(m, n)
-        found = enumerate_rainbow_free_colorings(_table(g), 3)
+        found = enumerate_rainbow_free_colorings(prop_helpers.table(g), 3)
         assert [c.colors for c in found] == colorings, (m, n)
         assert_lex_sorted_canonical(found)
 
 
 def test_enumerate_path2_two_colors():
     g = build_path(2)
-    found = enumerate_rainbow_free_colorings(_table(g), 2)
+    found = enumerate_rainbow_free_colorings(prop_helpers.table(g), 2)
     assert [c.colors for c in found] == [(1, 2)]
 
 
@@ -104,7 +101,7 @@ def test_extremal_pair_swapped_by_flip():
     # renaming colors by first appearance yields the other.
     for n in (3, 5, 7):
         g, _ = build_grid(2, n)
-        a, b = enumerate_rainbow_free_colorings(_table(g), 3)
+        a, b = enumerate_rainbow_free_colorings(prop_helpers.table(g), 3)
         assert canonicalize(grid_flip_horizontal(a.colors, 2, n)) == b
         assert canonicalize(grid_flip_horizontal(b.colors, 2, n)) == a
 
@@ -120,9 +117,7 @@ def test_compute_aw_matches_brute_force():
 
 
 def test_frozen_grid_aw_values():
-    for (m, n), want in AW_GRID.items():
-        g, _ = build_grid(m, n)
-        assert compute_aw(g, 3).aw == want, (m, n)
+    assert suite_grid_aw(AW_GRID) == []
 
 
 def _bsy_f(n: int) -> int:
@@ -193,7 +188,7 @@ def test_witness_is_lex_least_and_rainbow_free():
     for m, n in ((2, 3), (2, 4), (3, 3), (3, 4)):
         g, _ = build_grid(m, n)
         res = compute_aw(g, 3)
-        table = _table(g)
+        table = prop_helpers.table(g)
         first = enumerate_rainbow_free_colorings(table, res.aw - 1)[0]
         assert res.witness == first, (m, n)
         assert res.witness.colors in labeled_rainbow_free(g, 3, res.aw - 1), (m, n)
@@ -203,7 +198,7 @@ def test_witness_is_lex_least_and_rainbow_free():
         for k in range(2, g.n + 4):
             res = compute_aw(g, k)
             if res.aw - 1 >= 2:
-                want = exists_rainbow_free_coloring(_table(g, k), res.aw - 1)
+                want = exists_rainbow_free_coloring(prop_helpers.table(g, k), res.aw - 1)
                 assert res.witness == want, (name, k)
             else:
                 assert res.witness is None, (name, k)
@@ -216,7 +211,7 @@ def test_canonical_count_times_factorial():
     # generic one.
     for name, g in small_corpus():
         for k in (2, 3, 4, 5):
-            table = _table(g, k)
+            table = prop_helpers.table(g, k)
             for r in range(1, g.n + 1):
                 if r**g.n > 7000:
                     continue
@@ -240,7 +235,7 @@ def test_results_survive_a_vertex_relabeling():
             for k in (2, 3, 4):
                 before, after = compute_aw(g, k), compute_aw(h, k)
                 assert (after.aw, after.per_r) == (before.aw, before.per_r), (name, perm, k)
-                g_table, h_table = _table(g, k), _table(h, k)
+                g_table, h_table = prop_helpers.table(g, k), prop_helpers.table(h, k)
                 for r in range(1, g.n + 1):
                     count = len(enumerate_rainbow_free_colorings(g_table, r))
                     assert len(enumerate_rainbow_free_colorings(h_table, r)) == count, (
@@ -262,7 +257,7 @@ def test_search_results_pass_the_checked_constructor():
     assert len(graphs) == 143 + 9
     for g in graphs:
         for k in (3, 4):
-            table = _table(g, k)
+            table = prop_helpers.table(g, k)
             for r in range(1, g.n + 1):
                 found = enumerate_rainbow_free_colorings(table, r)
                 first = exists_rainbow_free_coloring(table, r)
@@ -276,7 +271,7 @@ def test_search_results_pass_the_checked_constructor():
 
 def test_budget_exhaustion_raises():
     g, _ = build_grid(2, 3)
-    table = _table(g)
+    table = prop_helpers.table(g)
     with pytest.raises(BudgetExceededError):
         exists_rainbow_free_coloring(table, 3, budget=2)
     with pytest.raises(BudgetExceededError):
@@ -336,7 +331,7 @@ NODE_COUNTS = [
 
 def test_node_counts_are_pinned():
     for g, k, r, enum, nodes in NODE_COUNTS:
-        table = _table(g, k)
+        table = prop_helpers.table(g, k)
         search = enumerate_rainbow_free_colorings if enum else exists_rainbow_free_coloring
         search(table, r, budget=nodes)
         with pytest.raises(BudgetExceededError):
@@ -346,7 +341,7 @@ def test_node_counts_are_pinned():
 def test_budget_exits_yield_a_prefix_of_the_stream():
     # star:7 at k = 4, r = 4 enters 179 nodes and yields 90 solutions, most of
     # them as leaves of one parent, so a budget can run out between them.
-    table = _table(build_star(7), 4)
+    table = prop_helpers.table(build_star(7), 4)
     full = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, 4, budget=179)]
     assert len(full) == 90
     yielded = {}
@@ -362,7 +357,7 @@ def test_budget_exits_yield_a_prefix_of_the_stream():
 
 def test_one_vertex_graph_is_first_and_last_vertex():
     for k in (2, 3):
-        table = _table(build_path(1), k)
+        table = prop_helpers.table(build_path(1), k)
         pairs = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, 1)]
         assert pairs == [(0, (1,))], k
         with pytest.raises(BudgetExceededError):
@@ -399,7 +394,7 @@ def test_changed_is_the_first_vertex_that_differs_from_the_solution_before():
 
 def test_streamed_first_solution_needs_only_its_own_nodes():
     # The enumeration enters more than 32,767 nodes; the first solution, 17.
-    table = _table(build_grid(4, 4)[0])
+    table = prop_helpers.table(build_grid(4, 4)[0])
     with pytest.raises(BudgetExceededError):
         enumerate_rainbow_free_colorings(table, 2, budget=100)
     _, first = next(iter_rainbow_free_changes(table, 2, budget=100))
@@ -408,7 +403,7 @@ def test_streamed_first_solution_needs_only_its_own_nodes():
 
 def test_argument_validation():
     g, _ = build_grid(2, 3)
-    table = _table(g)
+    table = prop_helpers.table(g)
     # A bool or a float r is refused like an r out of range.
     for bad_r in (0, -1, 7, 2.0, True):
         with pytest.raises(ValueError):
@@ -462,19 +457,7 @@ def test_polychromatic_path_walks_back_by_smallest_id():
 
 
 def test_polychromatic_path_on_random_colorings():
-    rng = random.Random(43)
-    for name, g in small_corpus():
-        for r in (3, 4):
-            if r > g.n:
-                continue
-            for _ in range(5):
-                coloring = random_exact_coloring(g.n, r, rng)
-                path = find_polychromatic_path(g, coloring)
-                assert check_polychromatic_path(g, coloring, path) == [], (
-                    name,
-                    coloring.colors,
-                    path,
-                )
+    assert suite_polychromatic_paths(43) == []
 
 
 def test_polychromatic_path_validation():

@@ -4,15 +4,16 @@ The checks here are deliberately written against first principles (distance
 matrices and explicit loops), not against the search engine they validate.
 Each exhaustive suite enumerates with the search and re-checks with these
 first-principles helpers, so every property test compares two independent
-routes; a module test and the acceptance gate both assert that it returns
-no violations.  The helpers in the first section are used only by the tests
-and are not part of the awgraph API.
+routes; the acceptance gate is the only test that runs the suites and
+asserts that they return no violations.  The helpers in the first section
+are used only by the tests and are not part of the awgraph API.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from itertools import combinations, permutations, product as iproduct
 
 from awgraph import (
@@ -191,7 +192,7 @@ def random_connected_graph(n: int, seed: int, p: float = 0.4) -> Graph:
         edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
         try:
             return Graph.from_edges(n, edges)
-        except Exception:
+        except DisconnectedGraphError:
             continue
 
 
@@ -373,15 +374,6 @@ def random_exact_coloring(n: int, r: int, rng: random.Random) -> Coloring:
             return Coloring(colors, r)
 
 
-def assert_lex_sorted_canonical(colorings) -> None:
-    previous = None
-    for c in colorings:
-        assert is_canonical(c), f"non-canonical coloring {c.colors}"
-        if previous is not None:
-            assert previous < c.colors, "enumeration not in lexicographic order"
-        previous = c.colors
-
-
 def grid_flip_horizontal(colors, m: int, n: int) -> tuple[int, ...]:
     """Recolor under the column-reversing grid automorphism."""
     _, coords = build_grid(m, n)
@@ -520,6 +512,65 @@ def suite_polychromatic_paths(seed: int):
                 path = find_polychromatic_path(g, coloring)
                 found = check_polychromatic_path(g, coloring, path)
                 yield f"{name} {coloring.colors} path {path}", found
+
+
+def _regrouped(table: ApTable) -> list[Counter]:
+    """The table's APs filed under their second-largest vertex, one multiset per vertex.
+
+    A set is filed as (smallest, largest) at k = 3 and as the whole tuple at
+    every other k.
+    """
+    lists = [Counter() for _ in table.dist]
+    for vs in (ap.vertices for ap in table.aps):
+        lists[vs[-2]][(vs[0], vs[-1]) if table.k == 3 else vs] += 1
+    return lists
+
+
+@_suite
+def suite_ap_tables():
+    """enumerate_k_aps against brute_force_k_aps: the lists the search reads and the named APs.
+
+    Every table is built as the lists the search reads and names its
+    progressions only when they are read.  Each vertex's list is compared
+    as a multiset, since its order is free.  Empty tables are included:
+    k = n + 1, where there are no k distinct vertices, and star:4 at k = 4,
+    whose leaves are pairwise at distance 2.
+    """
+    cases = [(name, g, k) for name, g in small_corpus() for k in (2, 3, 4, 5, g.n + 1)]
+    cases += [
+        (f"grid:{m}x{n}", build_grid(m, n)[0], k)
+        for m in range(1, 6)
+        for n in range(max(m, 2), 6)
+        for k in (2, 3, 4)
+    ]
+    for name, g, k in cases:
+        dist = all_pairs_distances(g)
+        fast = enumerate_k_aps(dist, k)
+        found = ["aps built before they were read"] if "aps" in vars(fast) else []
+        slow = brute_force_k_aps(dist, k)
+        if [Counter(entries) for entries in fast.ahead] != _regrouped(slow):
+            found.append("ahead lists differ from the oracle's sets")
+        if fast.aps != slow.aps:
+            found.append(f"{len(fast.aps)} enumerated vs {len(slow.aps)} brute-force APs")
+        yield f"{name} k={k}", found
+    star = enumerate_k_aps(all_pairs_distances(build_star(4)), 4).aps
+    yield "star:4 k=4", [] if star == () else [f"{len(star)} APs, expected none"]
+
+
+# aw(P_m x P_n, 3) on every grid with m * n <= 16.
+AW_GRID = {
+    (2, 2): 3,
+    (2, 3): 4,
+    (2, 4): 3,
+    (2, 5): 4,
+    (2, 6): 3,
+    (2, 7): 4,
+    (2, 8): 3,
+    (3, 3): 3,
+    (3, 4): 4,
+    (3, 5): 3,
+    (4, 4): 4,
+}
 
 
 @_suite

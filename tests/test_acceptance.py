@@ -3,14 +3,16 @@
 Run `pytest tests/test_acceptance.py -v -s` to see the lines as they print.
 Each criterion collects violations into a list and reports once, so a
 failure names every offending instance instead of stopping at the first.
+The gate is the only runner of the exhaustive suites in prop_helpers; the
+last test checks that no other test module calls one.
 """
 
+import ast
 import time
+from pathlib import Path
 
 from awgraph import (
     Coloring,
-    all_pairs_distances,
-    brute_force_k_aps,
     build_cycle,
     build_grid,
     build_path,
@@ -19,7 +21,6 @@ from awgraph import (
     coloring_to_text,
     compute_aw,
     emit_certificate,
-    enumerate_k_aps,
     enumerate_rainbow_free_colorings,
     find_rainbow_ap,
     verify_certificate,
@@ -27,10 +28,10 @@ from awgraph import (
 from awgraph.cli import main as cli_main
 import prop_helpers
 from prop_helpers import (
+    AW_GRID,
     connected_graphs,
-    labeled_rainbow_free,
-    small_corpus,
     suite_adjacent_layer_union,
+    suite_ap_tables,
     suite_block_confinement,
     suite_grid_aw,
     suite_grid_coloring,
@@ -40,7 +41,6 @@ from prop_helpers import (
     suite_monochromatic_lines,
     suite_polychromatic_paths,
 )
-from test_search import AW_GRID
 
 
 def _report(num, desc, violations):
@@ -71,18 +71,27 @@ def test_criterion_2_closed_form_table(capsys):
     _report(2, "table command: formula = search, exit 0", violations)
 
 
+# The canonical rainbow-free 3-colorings of grid 2 x n, in the search's order.
+EXTREMAL_2XN = {
+    3: [(1, 1, 2, 3, 1, 1), (1, 2, 2, 2, 2, 3)],
+    5: [
+        (1, 1, 1, 1, 2, 3, 1, 1, 1, 1),
+        (1, 2, 2, 2, 2, 2, 2, 2, 2, 3),
+    ],
+    7: [
+        (1, 1, 1, 1, 1, 1, 2, 3, 1, 1, 1, 1, 1, 1),
+        (1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3),
+    ],
+}
+
+
 def test_criterion_3_two_extremal_colorings():
     violations = []
-    for n in (3, 5, 7):
+    for n, want in EXTREMAL_2XN.items():
         g, _ = build_grid(2, n)
-        found = enumerate_rainbow_free_colorings(prop_helpers.table(g), 3)
-        if len(found) != 2:
-            violations.append(f"2x{n}: {len(found)} canonical colorings, expected 2")
-    # Independent count: all 3^6 assignments of the 2x3 grid, filtered to
-    # exact rainbow-free ones, must come to 2 x 3! = 12.
-    labeled = labeled_rainbow_free(build_grid(2, 3)[0], 3, 3)
-    if len(labeled) != 12:
-        violations.append(f"2x3 labeled count {len(labeled)}, expected 12")
+        found = [c.colors for c in enumerate_rainbow_free_colorings(prop_helpers.table(g), 3)]
+        if found != want:
+            violations.append(f"2x{n}: {found}, expected {want}")
     _report(3, "precisely two extremal 3-colorings of 2xN grids", violations)
 
 
@@ -115,17 +124,7 @@ def test_criterion_5_product_bound_sweep():
 
 
 def test_criterion_6_ap_oracle_equivalence():
-    violations = []
-    for name, g in small_corpus():
-        dist = all_pairs_distances(g)
-        for k in (3, 4):
-            fast = {ap.vertices for ap in enumerate_k_aps(dist, k).aps}
-            slow = {ap.vertices for ap in brute_force_k_aps(dist, k).aps}
-            if fast != slow:
-                violations.append(
-                    f"{name} k={k}: {len(fast)} enumerated vs {len(slow)} brute"
-                )
-    _report(6, "AP enumeration = brute force on corpus n <= 8", violations)
+    _report(6, "AP tables = brute force on corpus n <= 8 and grids to 5x5", suite_ap_tables())
 
 
 def test_criterion_7_structural_property_suites():
@@ -137,6 +136,7 @@ def test_criterion_7_structural_property_suites():
         + suite_block_confinement()
         + suite_monochromatic_lines()
         + suite_polychromatic_paths(7)
+        + suite_polychromatic_paths(43)
     )
     _report(7, "all seven structural property suites", violations)
 
@@ -189,3 +189,21 @@ def test_criterion_8_certificate_round_trip_and_tampering():
     if tampered == 0:
         violations.append("no rainbow-introducing mutations found")
     _report(8, "certificates verify; tampered witnesses flagged", violations)
+
+
+def test_the_gate_is_the_only_runner_of_the_suites():
+    # A suite that a module test runs as well checks the same facts twice.
+    tests = Path(__file__).parent
+    helpers = ast.parse((tests / "prop_helpers.py").read_text(encoding="utf-8"))
+    callers = {
+        node.name: set()
+        for node in helpers.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")
+    }
+    for path in tests.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in callers:
+                    callers[name].add(path.name)
+    assert callers and callers == {name: {"test_acceptance.py"} for name in callers}

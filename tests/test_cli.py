@@ -213,13 +213,6 @@ def test_table_golden(capsys):
     )
 
 
-def test_table_sixteen_cells(capsys):
-    code, out, _ = run(capsys, ["table", "--max-cells", "16"])
-    assert code == EXIT_OK
-    assert out.count("match=yes") == 11
-    assert out.endswith("all-match: yes\n")
-
-
 def test_construct_verify_round_trip(capsys, tmp_path):
     out_path = tmp_path / "corner.coloring"
     code, out, _ = run(
@@ -280,19 +273,6 @@ def test_construct_self_check_failure_writes_nothing(capsys, monkeypatch, tmp_pa
         "self-check: FAILED rainbow-ap vertices=0,1,2 d=1\n"
     )
     assert not out_path.exists()
-
-
-def test_verify_reports_rainbow_ap_with_coords(capsys, tmp_path):
-    path = tmp_path / "bad.coloring"
-    path.write_text("6 3\n1 1 2 3 2 1\n", encoding="utf-8")
-    code, out, _ = run(
-        capsys, ["verify", "--graph", "grid:2x3", "--k", "3", "--coloring", str(path)]
-    )
-    assert code == EXIT_OK
-    assert out.endswith(
-        "result: rainbow-ap vertices=0,3,4 ordering=0,3,4 d=1"
-        " coords=(1,1),(2,1),(2,2)\n"
-    )
 
 
 def test_module_entry_matches_main_and_propagates_exit_codes(capsys, tmp_path):

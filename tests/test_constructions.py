@@ -28,8 +28,7 @@ from awgraph import (
 )
 from awgraph import search
 import plain_engine
-from prop_helpers import connected_graphs, suite_grid_coloring, table
-from test_search import AW_GRID
+from prop_helpers import AW_GRID, connected_graphs, table
 
 
 def test_corner_frozen_small():
@@ -45,10 +44,6 @@ def test_corner_rejects_inadmissible_dims():
             construct_corner_coloring(m, n)
 
 
-def test_corner_rainbow_free_everywhere_admissible():
-    assert suite_grid_coloring("corner") == []
-
-
 def test_two_red_frozen_layout():
     c = construct_two_red_coloring(4, 4)
     assert c.r == 3
@@ -59,10 +54,6 @@ def test_two_red_rejects_inadmissible_dims():
     for m, n in ((3, 5), (2, 4), (4, 5), (5, 4), (4, 3)):
         with pytest.raises(ValueError):
             construct_two_red_coloring(m, n)
-
-
-def test_two_red_rainbow_free():
-    assert suite_grid_coloring("two-red-corner") == []
 
 
 def test_grid_colorings_by_name():

@@ -57,6 +57,9 @@ def test_builder_size_validation():
         build_star(1)
     with pytest.raises(GraphError):
         build_complete(0)
+    # The test corpus's random graphs redraw only when a draw is disconnected.
+    with pytest.raises(GraphError):
+        random_connected_graph(0, seed=1)
 
 
 def test_graph_invariants_enforced():

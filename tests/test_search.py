@@ -23,7 +23,6 @@ from awgraph import (
 from awgraph.search import iter_rainbow_free_changes
 import prop_helpers
 from prop_helpers import (
-    assert_lex_sorted_canonical,
     brute_force_aw,
     canonicalize,
     find_polychromatic_path,
@@ -31,24 +30,7 @@ from prop_helpers import (
     is_canonical,
     labeled_rainbow_free,
     small_corpus,
-    suite_grid_aw,
-    suite_polychromatic_paths,
 )
-
-# aw(P_m x P_n, 3), confirmed against the brute-force oracle below.
-AW_GRID = {
-    (2, 2): 3,
-    (2, 3): 4,
-    (2, 4): 3,
-    (2, 5): 4,
-    (2, 6): 3,
-    (2, 7): 4,
-    (2, 8): 3,
-    (3, 3): 3,
-    (3, 4): 4,
-    (3, 5): 3,
-    (4, 4): 4,
-}
 
 
 def test_exists_one_color_always():
@@ -57,42 +39,6 @@ def test_exists_one_color_always():
         c = exists_rainbow_free_coloring(prop_helpers.table(g), 1)
         assert c is not None, name
         assert c.colors == (1,) * g.n, name
-
-
-def test_exists_none_when_every_coloring_rainbow():
-    g, _ = build_grid(2, 2)
-    assert exists_rainbow_free_coloring(prop_helpers.table(g), 3) is None
-
-
-def test_exists_returns_lex_least():
-    g, _ = build_grid(2, 3)
-    c = exists_rainbow_free_coloring(prop_helpers.table(g), 3)
-    assert c == Coloring((1, 1, 2, 3, 1, 1), 3)
-
-
-def test_enumerate_frozen_grids():
-    expected = {
-        (2, 3): [(1, 1, 2, 3, 1, 1), (1, 2, 2, 2, 2, 3)],
-        (2, 5): [
-            (1, 1, 1, 1, 2, 3, 1, 1, 1, 1),
-            (1, 2, 2, 2, 2, 2, 2, 2, 2, 3),
-        ],
-        (2, 7): [
-            (1, 1, 1, 1, 1, 1, 2, 3, 1, 1, 1, 1, 1, 1),
-            (1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3),
-        ],
-    }
-    for (m, n), colorings in expected.items():
-        g, _ = build_grid(m, n)
-        found = enumerate_rainbow_free_colorings(prop_helpers.table(g), 3)
-        assert [c.colors for c in found] == colorings, (m, n)
-        assert_lex_sorted_canonical(found)
-
-
-def test_enumerate_path2_two_colors():
-    g = build_path(2)
-    found = enumerate_rainbow_free_colorings(prop_helpers.table(g), 2)
-    assert [c.colors for c in found] == [(1, 2)]
 
 
 def test_extremal_pair_swapped_by_flip():
@@ -114,10 +60,6 @@ def test_compute_aw_matches_brute_force():
             got = compute_aw(g, k).aw
             want = brute_force_aw(g, k)
             assert got == want, f"{name} k={k}: search {got}, brute force {want}"
-
-
-def test_frozen_grid_aw_values():
-    assert suite_grid_aw(AW_GRID) == []
 
 
 def _bsy_f(n: int) -> int:
@@ -454,10 +396,6 @@ def test_polychromatic_path_walks_back_by_smallest_id():
     g = Graph.from_edges(7, edges)
     path = find_polychromatic_path(g, Coloring((3, 2, 3, 3, 2, 3, 1), 3))
     assert path == [0, 1, 2, 3, 6]
-
-
-def test_polychromatic_path_on_random_colorings():
-    assert suite_polychromatic_paths(43) == []
 
 
 def test_polychromatic_path_validation():

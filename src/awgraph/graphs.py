@@ -2,8 +2,9 @@
 
 Everything downstream (distance matrices, arithmetic progressions, coloring
 searches) works on the immutable Graph defined here.  Vertices are the ints
-0..n-1 and the labeling is part of the object: Cartesian products and grid
-coordinate maps rely on it.
+0..n-1 and the labeling is part of the object: Cartesian products, product
+distance rows summed from the factors' rows, and grid coordinate maps rely
+on it.
 """
 
 from __future__ import annotations
@@ -314,6 +315,19 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     Graph is connected.
     """
     return tuple(tuple(distances_from(g, s)) for s in range(g.n))
+
+
+def product_distances(g: Graph, h: Graph) -> tuple[tuple[int, ...], ...]:
+    """all_pairs_distances(cartesian_product(g, h)), summed from the factors' rows.
+
+    A shortest path in G box H moves in one factor at a time, so
+    d((a, b), (a', b')) = d_G(a, a') + d_H(b, b'): row a*h.n + b holds that
+    sum at a'*h.n + b'.  Only the factors are searched; the product is not built.
+    """
+    dh = all_pairs_distances(h)
+    return tuple(
+        tuple([x + y for x in ga for y in hb]) for ga in all_pairs_distances(g) for hb in dh
+    )
 
 
 def distance_rings(g: Graph) -> list[list[int]]:

@@ -25,13 +25,18 @@ list of colors, and changed is the first vertex whose color differs from the
 solution before (0 for the first), so a reader that keeps the previous row
 need only redo cols[changed:].  The first-solution and list operations read
 that stream and build each Coloring from a tuple copy of cols through its
-checked constructor.  compute_aw writes a witness with fewer than k colors
-in closed form, without a search.
+checked constructor.
+
+aw_from_distances is the one computation of aw: the scan over r, the table
+build and the closed-form witness (fewer than k colors, written without a
+search).  It reads distance rows from any source: compute_aw feeds it a
+graph's breadth-first rows, and constructions.verify_product_bound the rows
+of G box H summed from its factors', so no product graph is built there.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .aps import ApTable, check_k, enumerate_k_aps
@@ -368,24 +373,42 @@ def compute_aw(
 
     aw is the least r such that every exact r-coloring contains a rainbow
     k-AP, with aw = n + 1 by convention when every r <= n admits a
-    rainbow-free exact r-coloring.  Color counts r = k, k+1, ... are checked
-    in ascending order and each verdict is recorded.  The scan stops at the
-    first r that fails: merging two color classes of a rainbow-free exact
-    r-coloring gives a rainbow-free exact (r-1)-coloring, so no larger r can
-    succeed.  The budget caps the nodes of each r's search separately.
+    rainbow-free exact r-coloring.  The search runs on g's breadth-first
+    distance rows through aw_from_distances, which states the scan, the
+    witness and the budget.
+    """
+    return aw_from_distances(g.n, k, lambda: all_pairs_distances(g), budget=budget)
+
+
+def aw_from_distances(
+    n: int,
+    k: int,
+    distances: Callable[[], Sequence[Sequence[int]]],
+    *,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> AwResult:
+    """aw(G, k) of the connected n-vertex graph G whose distance rows distances() returns.
+
+    Color counts r = k, k+1, ... are checked in ascending order and each
+    verdict is recorded.  The scan stops at the first r that fails: merging
+    two color classes of a rainbow-free exact r-coloring gives a
+    rainbow-free exact (r-1)-coloring, so no larger r can succeed.  The
+    budget caps the nodes of each r's search separately.
 
     When aw - 1 < k no (aw-1)-coloring can be rainbow, so the witness is the
     lex-least canonical exact one, (1,) * (n - aw + 2) + (2, ..., aw - 1),
     built without a search and so without budget.  Raises ValueError for a
     k or a budget that check_k or check_budget refuses, searched or not.
+    distances is called once k and budget have passed, and only when
+    k <= n, so a refused argument or a graph too small for any k-AP costs
+    no distance row.
     """
     check_k(k)
     check_budget(budget)
-    n = g.n
     aw = n + 1
     witness: Coloring | None = None
     if k <= n:
-        table = enumerate_k_aps(all_pairs_distances(g), k)
+        table = enumerate_k_aps(distances(), k)
         for r in range(k, n + 1):
             c = exists_rainbow_free_coloring(table, r, budget=budget)
             if c is None:

@@ -122,6 +122,27 @@ def test_product_bound_small():
         verify_product_bound(build_path(1), build_path(2))
 
 
+def test_arguments_are_checked_before_any_distance(monkeypatch):
+    # Factor sizes, then the budget, then k: each is refused with its own
+    # message before a distance row is computed, from the factors or a graph.
+    def no_distances(g):
+        raise AssertionError("distances computed before the arguments were checked")
+
+    monkeypatch.setattr("awgraph.graphs.all_pairs_distances", no_distances)
+    monkeypatch.setattr("awgraph.search.all_pairs_distances", no_distances)
+    p1, p2 = build_path(1), build_path(2)
+    for g, h, sizes in ((p1, p2, "1 and 2"), (p2, p1, "2 and 1")):
+        message = rf"^product bound needs both factors on >= 2 vertices, got {sizes}$"
+        with pytest.raises(ValueError, match=message):
+            verify_product_bound(g, h)
+    for bad_budget in (None, True):
+        message = rf"^budget must be an int, got budget={bad_budget!r}$"
+        with pytest.raises(ValueError, match=message):
+            verify_product_bound(p2, build_cycle(3), budget=bad_budget)
+    with pytest.raises(ValueError, match=r"^k-APs need k >= 2, got k=1$"):
+        compute_aw(build_grid(2, 3)[0], 1)
+
+
 def test_connected_graphs_catalog():
     counts = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
     for n, want in counts.items():

@@ -23,9 +23,11 @@ from awgraph import (
     distance_rings,
     graph_to_text,
     parse_graph,
+    product_distances,
 )
 from prop_helpers import (
     column_vertices,
+    connected_graphs,
     induced_subgraph,
     is_isometric_subgraph,
     random_connected_graph,
@@ -263,6 +265,34 @@ def test_distances_match_networkx():
             _assert_rows_and_rings(build_cycle(n), nx.cycle_graph(n))
         if n >= 2:
             _assert_rows_and_rings(build_star(n), nx.star_graph(n - 1))
+
+
+def _assert_product_rows(g, h):
+    rows = product_distances(g, h)
+    assert rows == all_pairs_distances(cartesian_product(g, h)), (g.edges(), h.edges())
+    assert type(rows) is tuple
+    assert all(type(row) is tuple and all(type(d) is int for d in row) for row in rows)
+
+
+def test_product_rows_are_the_factors_rows_summed():
+    # Every unordered pair of connected factors on 2..5 vertices, in both
+    # orders, so that unequal sizes catch a swapped a*|H| + b index.
+    factors = [g for n in range(2, 6) for g in connected_graphs(n)]
+    pairs = [(g, h) for i, g in enumerate(factors) for h in factors[i:]]
+    assert len(pairs) == 465
+    for g, h in pairs:
+        _assert_product_rows(g, h)
+        _assert_product_rows(h, g)
+    # A factor that is itself a product.
+    _assert_product_rows(cartesian_product(build_path(2), build_cycle(3)), build_star(4))
+    # P_2 against every 10th connected 7-vertex atlas graph.
+    seven = [ag for ag in nx.graph_atlas_g() if ag.number_of_nodes() == 7 and nx.is_connected(ag)]
+    assert len(seven) == 853
+    p2 = build_path(2)
+    for ag in seven[::10]:
+        h = Graph.from_edges(7, [tuple(sorted(e)) for e in ag.edges()])
+        _assert_product_rows(p2, h)
+        _assert_product_rows(h, p2)
 
 
 def test_induced_subgraph_relabels():

@@ -10,11 +10,14 @@ product:<spec>,<spec> (nesting depth at most 3), file:<path>.
 Exit codes: 0 success, 1 reported mismatch or failed bound, 2 usage or
 validation error, 3 node budget exceeded, 130 interrupted (Ctrl-C).
 --budget overrides the default node budget.  A bad --k, --r or --budget
-is refused before any distance or AP is computed.  extremal writes its
-rows in blocks of up to 1,024 as the search finds them, and every row
-found before any exit, so on exit 3 or 130 its stdout is a prefix of the
-full output.  aw --cert and construct --out write their file before they
-print, so on exit 2 stdout stays empty.
+is refused before any distance or AP is computed.  extremal formats the
+search's batches of rows that differ only in their last color, and
+writes its rows in blocks of up to 1,024 as the search finds them, and
+every row found before any exit, so on exit 3 or 130 its stdout is a
+prefix of the full output; a budget that runs out inside a batch keeps
+the batch's rows that fit, as a row-by-row search would.  aw --cert and
+construct --out write their file before they print, so on exit 2 stdout
+stays empty.
 
 main(argv) may be called any number of times in one process.  The parser
 is built on the first call, not on import, and every later call reuses it.
@@ -233,12 +236,12 @@ def cmd_extremal(args) -> int:
     budget = _budget_from(args)
     check_r(r, g.n)
     table = enumerate_k_aps(all_pairs_distances(g), args.k)
-    solutions = iter_rainbow_free_changes(table, r, budget=budget)
+    batches = iter_rainbow_free_changes(table, r, budget=budget)
     _print_graph_line(args.graph, g)
     print(f"k = {args.k}")
     print(f"r = {r}")
     write = sys.stdout.write
-    lines = coloring_lines(solutions, r)
+    lines = coloring_lines(batches, r)
     block: list[str] = []
     count = 0
     while True:

@@ -31,15 +31,19 @@ class ColoringFormatError(ColoringError):
 class Coloring:
     """Exact (surjective) r-coloring of vertices 0..n-1 with colors 1..r.
 
-    Each color and r are ints; a bool, or a float such as 1.0, is rejected.
-    Every vertex is checked, and the first bad one is named; a coloring with
-    every color in 1..r is exact iff r distinct colors occur.
+    colors is a tuple, so a Coloring is immutable, hashable and equal to
+    any other with the same colors and r; a list is rejected.  Each color
+    and r are ints; a bool, or a float such as 1.0, is rejected.  Every
+    vertex is checked, and the first bad one is named; a coloring with every
+    color in 1..r is exact iff r distinct colors occur.
     """
 
     colors: tuple[int, ...]
     r: int
 
     def __post_init__(self) -> None:
+        if type(self.colors) is not tuple:
+            raise ColoringError(f"colors must be a tuple, got {type(self.colors).__name__}")
         if type(self.r) is not int:
             raise ColoringError(f"r must be an int, got r={self.r!r}")
         if self.r < 1:
@@ -107,32 +111,39 @@ def parse_coloring(text: str) -> Coloring:
         raise ColoringFormatError(str(exc)) from None
 
 
-def coloring_lines(changes, r: int):
-    """Yield each coloring of a stream of (changed, colors) pairs as one line, no newline.
+def coloring_lines(batches, r: int):
+    """Yield one line, no newline, per coloring of a stream of (changed, colors, leaves) batches.
 
-    A line is the colors as space-separated decimals, each color in 1..r.
-    changed is the first vertex at which colors differs from the colors of
-    the pair before; it is 0 for the first pair and for a coloring that
-    shares nothing with the one before.  The text of every prefix of the
-    last line is kept, so a line costs its changed suffix colors[changed:],
-    one name lookup and one string append each, plus a copy of its bytes.
+    A batch stands for one coloring per color c in leaves, a bitmask with
+    bit c - 1 set for each: colors with its last entry replaced by c, in
+    ascending c.  A line is the colors as space-separated decimals, each
+    color in 1..r.  changed is the first vertex at which colors differs from
+    the colors of the batch before; it is 0 for the first batch and for a
+    batch that shares nothing with the one before.  The text of every prefix
+    of the last batch's colors but its last is kept, so a batch costs its
+    changed suffix colors[changed:-1], one name lookup and one string
+    append each, and a line one more append and a copy of its bytes.
     """
     names = [str(c) for c in range(r + 1)]
     spaced = [name + " " for name in names]
     texts = [""]  # texts[i] is the text of colors[:i], each color followed by a space
     append = texts.append
-    for changed, colors in changes:
+    for changed, colors, leaves in batches:
         del texts[changed + 1:]
         line = texts[changed]
         for c in colors[changed:-1]:
             line += spaced[c]
             append(line)
-        yield line + names[colors[-1]]
+        while leaves:
+            leaf = leaves & -leaves
+            leaves ^= leaf
+            yield line + names[leaf.bit_length()]
 
 
 def coloring_line(coloring: Coloring) -> str:
     """The colors of one coloring as the line coloring_lines writes for it."""
-    return next(coloring_lines([(0, coloring.colors)], coloring.r))
+    colors = coloring.colors
+    return next(coloring_lines([(0, colors, 1 << (colors[-1] - 1))], coloring.r))
 
 
 def coloring_to_text(coloring: Coloring) -> str:

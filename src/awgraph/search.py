@@ -15,17 +15,21 @@ domain, or when it leaves too few vertices with unrestricted domains to bring
 in the colors still missing from 1..r; both are decided at the choice, so no
 node is entered only to be cut.  Both cut only subtrees without a solution,
 so the results are those of the plain search.  The last vertex restricts
-nothing, so each choice at vertex n - 2 walks its colors as leaves in one
-inner loop, and k = 3 and k = 4 APs are read by loops of their own.
+nothing, so the colors it allows at each accepted choice of vertex n - 2
+are all leaves, counted and yielded at once, and k = 3 and k = 4 APs are
+read by loops of their own.
 
 A search takes only the AP table, which fixes n and k, and r.  The engine is
 one generator, _search, read only by the stream iter_rainbow_free_changes.
-It yields each solution as a pair (changed, cols): cols is the search's own
-list of colors, and changed is the first vertex whose color differs from the
-solution before (0 for the first), so a reader that keeps the previous row
-need only redo cols[changed:].  The first-solution and list operations read
-that stream and build each Coloring from a tuple copy of cols through its
-checked constructor.
+It yields the solutions of each accepted choice at n - 2 as one batch
+(changed, cols, leaves): leaves is the bitmask of the last vertex's colors
+(bit c - 1 for color c), cols is the search's own list of colors with its
+last entry the lowest of them, and changed is the first vertex whose color
+differs from the batch before (0 for the first), so a reader that keeps the
+previous row need only redo cols[changed:-1] once per batch, then add each
+leaf's color.  The first-solution and list operations read that stream and
+build each Coloring from a tuple copy of the colors through its checked
+constructor.
 
 aw_from_distances is the one computation of aw: the scan over r, the table
 build and the closed-form witness (fewer than k colors, written without a
@@ -73,13 +77,17 @@ def _over_budget(budget: int, r: int, n: int) -> BudgetExceededError:
     return BudgetExceededError(f"search expanded more than {budget} nodes (r={r}, n={n})")
 
 
-def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int]]]:
+def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int], int]]:
     """Generate the canonical rainbow-free exact r-colorings in lex order.
 
-    Each solution is yielded as a pair (changed, cols).  cols is the search's
-    own list of colors, which it changes once resumed: a caller that keeps a
-    solution copies it first.  changed is the first vertex at which cols
-    differs from the solution yielded before, and 0 for the first solution.
+    The solutions that share their first n - 1 colors are yielded as one
+    batch (changed, cols, leaves): one solution per color c of the last
+    vertex, bit c - 1 of leaves, each cols[:-1] followed by c, in ascending
+    c.  cols is the search's own list of colors, which it changes once
+    resumed: a caller that keeps a solution copies it first.  Its last entry
+    is the lowest leaf.  changed is the first vertex at which cols differs
+    from the batch yielded before, and 0 for the first batch; it is at most
+    n - 2 after the first, as no two batches share their first n - 1 colors.
     A caller that stops early expands no further node.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
@@ -117,19 +125,23 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
     No AP has n - 1 as its second-largest vertex, so ahead[n - 1] is empty
     and a color chosen for the last vertex neither restricts a domain nor is
     rejected.  So the loop never enters n - 1: each accepted choice at n - 2
-    counts that node, takes the allowed colors of n - 1 from the domains it
-    passes on, walks them in ascending order as leaves, each counted as a
-    node and yielded, and chooses again at n - 2 as if backtracked to from
-    n - 1.  The nodes counted and their order are those of entering n - 1
-    through the loop; with n = 1 the root is the last vertex, handled before
-    the loop.  At slack >= 0 either top = r already, or n - 1 is free with
-    top = r - 1 at slack 0 and its one allowed color is r.  So a leaf's
-    colors are in restricted-growth form and reach r, and each result is an
-    exact r-coloring.  Between two yields every vertex from the lowest one
-    backtracked to up to n - 1 takes a new color, the lowest one a larger
-    color than before, and no vertex below it changes, so changed is the
-    lowest vertex reached by backtracking since the last yield, or n - 1
-    between two leaves of one walk.
+    takes the allowed colors of n - 1 from the domains it passes on as the
+    leaves of one batch, counts the node of n - 1 and one node per leaf,
+    yields the batch, and chooses again at n - 2 as if backtracked to from
+    n - 1.  The nodes counted are those of entering n - 1 and walking its
+    leaves in ascending order through the loop.  When they pass the budget,
+    the batch keeps only its lowest leaves that fit, is yielded if any is
+    left, and the next read raises; with no leaf left it raises at once.  So
+    the solutions yielded before the error are those a search yielding one
+    leaf at a time would yield.  With n = 1 the root is the last vertex,
+    handled before the loop.  At slack >= 0 either top = r already, or
+    n - 1 is free with top = r - 1 at slack 0 and its one allowed color is
+    r.  So a leaf's colors are in restricted-growth form and reach r, and
+    each result is an exact r-coloring.  Between two yields every vertex
+    from the lowest one backtracked to up to n - 2 takes a new color, the
+    lowest one a larger color than before, and no vertex below it changes,
+    so changed is the lowest vertex reached by backtracking since the last
+    yield.
     """
     k = table.k
     n = table.n
@@ -146,7 +158,7 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
         if budget < 2:
             raise _over_budget(budget, r, n)
         cols[0] = 1
-        yield 0, cols
+        yield 0, cols, 1
         return
     doms: list[list[int]] = [[full] * n] * (n - 1)  # doms[v > 0] is set on entering v
     bits = [0] * n
@@ -262,23 +274,26 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, list[int
             cols[v] = c
             if v != pen:
                 break
-            # Enter the last vertex: count it, then walk its allowed colors as
-            # leaves.  By the loop top's rule a free last vertex at slack 0
-            # (so top = r - 1) allows only r; at slack > 0 top = r already.
-            # Budget checked at the first leaf: no accepted choice empties dom[last].
-            nodes += 1
+            # Enter the last vertex and each of its allowed colors as a leaf,
+            # all counted at once.  By the loop top's rule a free last vertex
+            # at slack 0 (so top = r - 1) allows only r; at slack > 0 top = r
+            # already.  No accepted choice empties dom[last].
             leaves = dom[last]
             if leaves == full and not slack:
                 leaves = 1 << top
-            while leaves:
-                leaf = leaves & -leaves
-                leaves ^= leaf
-                nodes += 1
-                if nodes > budget:
-                    raise _over_budget(budget, r, n)
-                cols[last] = leaf.bit_length()
-                yield changed, cols
-                changed = last
+            nodes += 1 + leaves.bit_count()
+            if nodes > budget:
+                # Yield the lowest leaves that fit, if any; the next read raises.
+                rest = leaves
+                for _ in range(budget - nodes + leaves.bit_count()):
+                    rest &= rest - 1  # drop the lowest leaf left
+                fit = leaves ^ rest
+                if fit:
+                    cols[last] = (fit & -fit).bit_length()
+                    yield changed, cols, fit
+                raise _over_budget(budget, r, n)
+            cols[last] = (leaves & -leaves).bit_length()
+            yield changed, cols, leaves
             # Choose again at pen, as a backtrack from the last vertex would.
             changed = pen
         untried[v] = allowed
@@ -316,7 +331,7 @@ def exists_rainbow_free_coloring(
 
     Raises BudgetExceededError once this call enters more than budget nodes.
     """
-    for _, cols in iter_rainbow_free_changes(table, r, budget=budget):
+    for _, cols, _ in iter_rainbow_free_changes(table, r, budget=budget):
         return Coloring(tuple(cols), r)
     return None
 
@@ -326,16 +341,21 @@ def iter_rainbow_free_changes(
     r: int,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-) -> Iterator[tuple[int, list[int]]]:
-    """Each canonical rainbow-free exact r-coloring, in lex order, as (changed, cols).
+) -> Iterator[tuple[int, list[int], int]]:
+    """Canonical rainbow-free exact r-colorings in lex order, as (changed, cols, leaves) batches.
 
-    cols is the search's own list, valid until the next read; changed is the
-    first vertex at which it differs from the solution before (0 for the
-    first).  r must be an int in 1..n (check_r) and budget an int
-    (check_budget); else the call raises ValueError.  The search runs as
-    the iterator is read, so memory does not grow with the number of
-    solutions.  Raises BudgetExceededError from the read on which more than
-    budget nodes have been entered, the first read for a budget below 1.
+    A batch holds every coloring that shares its first n - 1 colors, cols[:-1],
+    one per color c of the last vertex, in ascending c: leaves has bit c - 1
+    set for each, and cols[-1] is the lowest.  cols is the search's own
+    list, valid until the next read; changed is the first vertex at which it
+    differs from the batch before (0 for the first, at most n - 2 after it).
+    r must be an int in 1..n (check_r) and budget an int (check_budget);
+    else the call raises ValueError.  The search runs as the iterator is
+    read, so memory does not grow with the number of solutions.  Once more
+    than budget nodes have been entered, a batch keeps only its lowest
+    leaves within the budget and the read after it raises
+    BudgetExceededError, or that read itself when no leaf is left: the first
+    read for a budget below 1.
     """
     check_r(r, table.n)
     check_budget(budget)
@@ -354,8 +374,14 @@ def enumerate_rainbow_free_colorings(
     avoiding rainbow k-APs (the relabeling action is free).  Raises
     BudgetExceededError once this call enters more than budget nodes.
     """
-    changes = iter_rainbow_free_changes(table, r, budget=budget)
-    return [Coloring(tuple(cols), r) for _, cols in changes]
+    found = []
+    for _, cols, leaves in iter_rainbow_free_changes(table, r, budget=budget):
+        prefix = tuple(cols[:-1])
+        while leaves:
+            leaf = leaves & -leaves
+            leaves ^= leaf
+            found.append(Coloring(prefix + (leaf.bit_length(),), r))
+    return found
 
 
 def per_r_verdicts(k: int, n: int, aw: int) -> tuple[tuple[int, bool], ...]:

@@ -16,12 +16,16 @@ from awgraph.aps import ApTable
 from awgraph.errors import BudgetExceededError
 
 
-def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """Generate the canonical rainbow-free exact r-colorings in lex order.
 
-    Each solution is yielded as (changed, colors), changed being the first
+    Consecutive solutions that share their first n - 1 colors are yielded as
+    one batch (changed, colors, leaves): colors is the first of them, leaves
+    has bit c - 1 set for the last color c of each, and changed is the first
     vertex at which colors differs from the solution before, found by
-    comparing the two (0 for the first solution).
+    comparing the two (0 for the first solution).  A batch is yielded once
+    the next solution starts another, the search ends, or the budget runs
+    out, before the budget error.
 
     One loop and no recursion.  Colors are bits (color c is 1 << (c - 1)), and
     depth v keeps vertex v's untried colors and the largest color used
@@ -42,9 +46,12 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, tuple[in
     nodes = 0
     v = top = 0
     previous = None
+    batch = None
     while True:
         nodes += 1
         if nodes > budget:
+            if batch is not None:
+                yield batch
             raise BudgetExceededError(
                 f"search expanded more than {budget} nodes (r={r}, n={n})"
             )
@@ -57,7 +64,12 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, tuple[in
                     while colors[changed] == previous[changed]:
                         changed += 1
                 previous = colors
-                yield changed, colors
+                if batch is not None and changed == n - 1:
+                    batch = (batch[0], batch[1], batch[2] | bits[n - 1])
+                else:
+                    if batch is not None:
+                        yield batch
+                    batch = (changed, colors, bits[n - 1])
         elif r - top <= n - v:
             allowed = (1 << (top + 1 if top < r else r)) - 1
             # Fewer than k - 1 colors in use cannot make an AP rainbow.
@@ -80,6 +92,8 @@ def _search(table: ApTable, r: int, budget: int) -> Iterator[tuple[int, tuple[in
                             allowed &= seen
         while not allowed:
             if v == 0:
+                if batch is not None:
+                    yield batch
                 return
             v -= 1
             allowed = untried[v]

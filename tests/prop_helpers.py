@@ -180,6 +180,24 @@ def canonicalize(colors) -> Coloring:
     return Coloring(tuple(out), len(relabel))
 
 
+def expanded(batches):
+    """Each coloring of a stream of (changed, cols, leaves) batches as a (changed, colors) pair.
+
+    A batch stands for one coloring per leaf, a color whose bit is set in
+    leaves, on the colors cols[:-1]; leaves are taken in ascending order.
+    The first keeps the batch's changed, and each later one differs from the
+    one before only at the last vertex, so its changed is n - 1.  A
+    generator, so a stream that raises partway still yields what came first.
+    """
+    for changed, cols, leaves in batches:
+        prefix = tuple(cols[:-1])
+        while leaves:
+            leaf = leaves & -leaves
+            leaves ^= leaf
+            yield changed, prefix + (leaf.bit_length(),)
+            changed = len(prefix)
+
+
 # ======================================================================
 # Corpora
 # ======================================================================

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -38,7 +37,7 @@ from awgraph.cli import (
     parse_graph_spec,
 )
 from awgraph.search import iter_rainbow_free_changes
-from prop_helpers import small_corpus
+from prop_helpers import expanded, small_corpus
 
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -496,7 +495,7 @@ def test_budget_exit_codes(capsys):
     for budget in range(1, 4095, 37):
         found = 0
         with pytest.raises(BudgetExceededError):
-            for _ in iter_rainbow_free_changes(table, 2, budget=budget):
+            for _ in expanded(iter_rainbow_free_changes(table, 2, budget=budget)):
                 found += 1
         code, out, _ = run(capsys, argv + ["--budget", str(budget)])
         assert code == EXIT_BUDGET, budget
@@ -549,14 +548,20 @@ def test_deep_graph_exhausts_budget_without_traceback(capsys):
 
 
 def test_interrupted_extremal_exits_130_with_the_rows_found(capsys, monkeypatch):
-    # Ctrl-C after 1,500 rows, past the first block of 1,024: the pending
-    # block is written, the count lines are not, and no traceback escapes.
+    # Ctrl-C after the batches that cover 1,500 rows, past the first block
+    # of 1,024: the pending block is written, the count lines are not, and
+    # no traceback escapes.  At r = 2 a batch holds one or two rows.
     argv = ["extremal", "--graph", "grid:3x4", "--k", "3", "--r", "2"]
     _, full, _ = run(capsys, argv)
+    rows = 0
 
     def interrupted(table, r, budget):
-        yield from islice(iter_rainbow_free_changes(table, r, budget=budget), 1500)
-        raise KeyboardInterrupt
+        nonlocal rows
+        for changed, cols, leaves in iter_rainbow_free_changes(table, r, budget=budget):
+            yield changed, cols, leaves
+            rows += leaves.bit_count()
+            if rows >= 1500:
+                raise KeyboardInterrupt
 
     monkeypatch.setattr("awgraph.cli.iter_rainbow_free_changes", interrupted)
     try:
@@ -564,7 +569,8 @@ def test_interrupted_extremal_exits_130_with_the_rows_found(capsys, monkeypatch)
     except KeyboardInterrupt:
         pytest.fail("KeyboardInterrupt escaped main")
     assert (code, err) == (EXIT_INTERRUPTED, "error: interrupted\n")
-    assert out == "".join(full.splitlines(keepends=True)[: 3 + 1500])
+    assert rows in (1500, 1501)
+    assert out == "".join(full.splitlines(keepends=True)[: 3 + rows])
 
 
 def test_interrupted_aw_exits_130_with_nothing_on_stdout(capsys, monkeypatch):

@@ -36,6 +36,8 @@ def test_coloring_validation():
         ((1,), True, "r must be an int, got r=True"),
         ((1, 2), 2.0, "r must be an int, got r=2.0"),
         ((), 1, "coloring of an empty vertex set"),
+        # A list would leave the frozen Coloring mutable and unhashable.
+        ([1, 2, 1], 2, "colors must be a tuple, got list"),
     ):
         with pytest.raises(ColoringError) as info:
             Coloring(colors, r)

@@ -3,8 +3,8 @@
 Forward checking only cuts subtrees that hold no solution and keeps the
 branch order, so every result must match the plain reference engine in
 plain_engine.py exactly: the same lex-least witness, the same enumeration in
-the same order, the same first changed vertex of each solution, the same aw
-and per-r verdicts.
+the same order, the same batches of solutions that share their first n - 1
+colors with the same first changed vertex, the same aw and per-r verdicts.
 """
 
 import hashlib
@@ -28,7 +28,7 @@ from awgraph import (
 from awgraph import search
 from awgraph.search import iter_rainbow_free_changes
 import plain_engine
-from prop_helpers import small_corpus
+from prop_helpers import expanded, small_corpus
 
 
 def _both(monkeypatch, fn):
@@ -49,7 +49,10 @@ def test_corpus_exists_and_enumerate_match(monkeypatch):
                 got, want = _both(monkeypatch, lambda: (
                     exists_rainbow_free_coloring(table, r),
                     enumerate_rainbow_free_colorings(table, r),
-                    [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, r)],
+                    [
+                        (changed, tuple(cols), leaves)
+                        for changed, cols, leaves in iter_rainbow_free_changes(table, r)
+                    ],
                 ))
                 assert got == want, (name, k, r)
 
@@ -76,7 +79,7 @@ def test_path2_product_slice_matches(monkeypatch):
 
 
 # (graph, k, r, solutions, sha256 over one "changed c0 c1 ...\n" line per
-# solution): instances too large for the comparisons with the plain engine
+# solution, each batch expanded to its solutions): instances too large for the comparisons with the plain engine
 # above, where the free-vertex cut rejects the most choices.  The digests were
 # computed while that cut was still decided on entering the child.  cycle:14,
 # star:10 and grid:3x4 at r = aw stream nothing, so each is pinned at
@@ -98,7 +101,7 @@ def test_streams_beyond_the_plain_engine_match_pinned_digests():
         table = enumerate_k_aps(all_pairs_distances(g), k)
         digest = hashlib.sha256()
         count = 0
-        for changed, cols in iter_rainbow_free_changes(table, r):
+        for changed, cols in expanded(iter_rainbow_free_changes(table, r)):
             digest.update(f"{changed} {' '.join(map(str, cols))}\n".encode())
             count += 1
         assert (count, digest.hexdigest()) == (solutions, want), (g.edges(), k, r)

@@ -25,6 +25,7 @@ import prop_helpers
 from prop_helpers import (
     brute_force_aw,
     canonicalize,
+    expanded,
     find_polychromatic_path,
     grid_flip_horizontal,
     is_canonical,
@@ -281,26 +282,70 @@ def test_node_counts_are_pinned():
 
 
 def test_budget_exits_yield_a_prefix_of_the_stream():
-    # star:7 at k = 4, r = 4 enters 179 nodes and yields 90 solutions, most of
-    # them as leaves of one parent, so a budget can run out between them.
+    # star:7 at k = 4, r = 4 enters 179 nodes and yields 90 solutions in 40
+    # batches, most of them with more than one leaf, so a budget can run out
+    # inside a batch.
     table = prop_helpers.table(build_star(7), 4)
-    full = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, 4, budget=179)]
+    full = list(expanded(iter_rainbow_free_changes(table, 4, budget=179)))
     assert len(full) == 90
     yielded = {}
     for budget in range(1, 179):
         got = []
         with pytest.raises(BudgetExceededError):
-            for changed, cols in iter_rainbow_free_changes(table, 4, budget=budget):
-                got.append((changed, tuple(cols)))
+            for pair in expanded(iter_rainbow_free_changes(table, 4, budget=budget)):
+                got.append(pair)
         assert got == full[: len(got)], budget
         yielded[budget] = len(got)
     assert [yielded[b] for b in (30, 50, 100, 178)] == [0, 9, 38, 89]
 
 
+def test_batches_are_maximal_and_a_budget_cuts_them_after_the_lowest_leaves_that_fit():
+    # Each choice at vertex n - 2 is one batch holding every leaf of it, so
+    # two batches in a row never share their first n - 1 colors.
+    for name, g in small_corpus():
+        dist = all_pairs_distances(g)
+        for k in (2, 3, 4, 5):
+            table = enumerate_k_aps(dist, k)
+            for r in range(1, g.n + 1):
+                batches = iter_rainbow_free_changes(table, r)
+                for i, (changed, cols, leaves) in enumerate(batches):
+                    where = (name, k, r, i)
+                    assert leaves and not leaves >> r, where
+                    assert all(1 <= c <= r for c in cols), where
+                    assert cols[-1] == (leaves & -leaves).bit_length(), where
+                    assert i == 0 or changed <= g.n - 2, where
+    # The leaves of a batch are consecutive nodes, so one node more adds the
+    # next leaf to a cut batch, or starts a new batch with its lowest leaf,
+    # or adds nothing; a cut batch holds the lowest leaves of the whole one.
+    table = prop_helpers.table(build_star(7), 4)
+    full = [
+        (changed, tuple(cols[:-1]), leaves)
+        for changed, cols, leaves in iter_rainbow_free_changes(table, 4, budget=179)
+    ]
+    before: list[tuple[int, tuple[int, ...], int]] = []
+    for budget in range(1, 179):
+        got = []
+        with pytest.raises(BudgetExceededError):
+            for changed, cols, leaves in iter_rainbow_free_changes(table, 4, budget=budget):
+                got.append((changed, tuple(cols[:-1]), leaves))
+        if got:
+            *head, (changed, prefix, leaves) = got
+            assert head == full[: len(head)], budget
+            whole = full[len(head)]
+            assert (changed, prefix) == whole[:2], budget
+            assert whole[2] & ((1 << leaves.bit_length()) - 1) == leaves, budget
+        if before and before[-1] != full[len(before) - 1]:
+            assert got[:-1] == before[:-1], budget
+            assert got[-1][2].bit_count() == before[-1][2].bit_count() + 1, budget
+        else:
+            assert got == before or (got[:-1] == before and got[-1][2].bit_count() == 1), budget
+        before = got
+
+
 def test_one_vertex_graph_is_first_and_last_vertex():
     for k in (2, 3):
         table = prop_helpers.table(build_path(1), k)
-        pairs = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, 1)]
+        pairs = list(expanded(iter_rainbow_free_changes(table, 1)))
         assert pairs == [(0, (1,))], k
         with pytest.raises(BudgetExceededError):
             list(iter_rainbow_free_changes(table, 1, budget=1))
@@ -312,7 +357,7 @@ def test_streamed_colors_match_the_enumeration_and_the_first_solution():
         for k in (2, 3, 4, 5):
             table = enumerate_k_aps(dist, k)
             for r in range(1, g.n + 1):
-                streamed = [tuple(cols) for _, cols in iter_rainbow_free_changes(table, r)]
+                streamed = [cols for _, cols in expanded(iter_rainbow_free_changes(table, r))]
                 listed = enumerate_rainbow_free_colorings(table, r)
                 # Each Coloring holds its own tuple, not the search's live list.
                 assert all(type(c.colors) is tuple for c in listed), (name, k, r)
@@ -327,7 +372,7 @@ def test_changed_is_the_first_vertex_that_differs_from_the_solution_before():
         for k in (2, 3, 4, 5):
             table = enumerate_k_aps(dist, k)
             for r in range(1, g.n + 1):
-                pairs = [(changed, tuple(cols)) for changed, cols in iter_rainbow_free_changes(table, r)]
+                pairs = list(expanded(iter_rainbow_free_changes(table, r)))
                 assert [changed for changed, _ in pairs[:1]] in ([], [0]), (name, k, r)
                 for (_, before), (changed, after) in zip(pairs, pairs[1:]):
                     assert before[:changed] == after[:changed], (name, k, r, before, after)
@@ -339,7 +384,7 @@ def test_streamed_first_solution_needs_only_its_own_nodes():
     table = prop_helpers.table(build_grid(4, 4)[0])
     with pytest.raises(BudgetExceededError):
         enumerate_rainbow_free_colorings(table, 2, budget=100)
-    _, first = next(iter_rainbow_free_changes(table, 2, budget=100))
+    _, first = next(expanded(iter_rainbow_free_changes(table, 2, budget=100)))
     assert tuple(first) == exists_rainbow_free_coloring(table, 2).colors
 
 
